@@ -365,8 +365,8 @@ def contains(body, x, eps: float = DEFAULT_EPS) -> Containment:
     compare against 1 exactly and never return AMBIGUOUS on their own;
     float paths report AMBIGUOUS inside the eps band around the boundary.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     if isinstance(body, AxisBox):
         _check_dim(body.dim, x)
         if _is_rational_vector(x):

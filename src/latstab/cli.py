@@ -436,15 +436,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    source = "--eps"
     if args.eps is None:
         env = os.environ.get("LATSTAB_EPS")
+        source = "LATSTAB_EPS"
         try:
             args.eps = float(env) if env is not None else DEFAULT_EPS
         except ValueError:
             sys.stderr.write(f"latstab: error: LATSTAB_EPS={env!r} is not a number\n")
             return EXIT_ERROR
-    if args.eps < 0:
-        sys.stderr.write("latstab: error: eps must be nonnegative\n")
+    if not 0 <= args.eps < math.inf:
+        sys.stderr.write(
+            f"latstab: error: eps must be nonnegative and finite, got {source}={args.eps}\n"
+        )
         return EXIT_ERROR
     try:
         return args.func(args)

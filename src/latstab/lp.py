@@ -13,11 +13,21 @@ story completely: the box corner at that coordinate sits on the flat face,
 the strictly convex Lp boundary excludes it at every finite p, and no
 finite threshold exists.
 
-Invariance is compared on point sets, not counts, and a lattice point is
-treated as retained when it is not classified strictly outside: at the
-threshold itself the binding points sit exactly on the Lp boundary, where
-a closed body contains them but a float gauge can only say "boundary".
-Integer exponents avoid even that, via exact rational power sums.
+Invariance is a statement about point sets, not counts, and a lattice
+point is treated as retained when it is not classified strictly outside:
+at the threshold itself the binding points sit exactly on the Lp boundary,
+where a closed body contains them but a float gauge can only say
+"boundary".  Integer exponents avoid even that, via exact rational power
+sums.
+
+Deciding invariance at one p needs a single membership test, not an
+enumeration.  The Lp-ball's candidate lattice points are exactly the box's
+lattice points (both floor the same rational semi-axes), and the Lp gauge
+is nondecreasing in each |z_i|, so every box lattice point is dominated
+coordinate by coordinate by the binding corner z* = (floor(alpha_i))_i.
+The two point sets are therefore equal iff z* is retained.
+threshold_sufficiency_check still compares the enumerated sets, as an
+oracle independent of that argument.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bodies import DEFAULT_EPS, AxisBox, LpBall
+from .bodies import DEFAULT_EPS, AxisBox, Containment, LpBall, contains
 from .enumeration import (
     CountResult,
     classify_lattice_points,
@@ -89,8 +99,11 @@ def _retained_set(box: AxisBox, p: float, eps: float) -> frozenset:
     return frozenset(inside) | frozenset(ambiguous)
 
 
-def _invariant_at(box: AxisBox, box_set: frozenset, p: float, eps: float) -> bool:
-    return _retained_set(box, p, eps) == box_set
+def _invariant_at(box: AxisBox, p: float, eps: float) -> bool:
+    """True iff the Lp-ball at p retains every lattice point of the box,
+    decided by the binding corner alone (see the module docstring)."""
+    corner = tuple(math.floor(a) for a in box.semi_axes)
+    return contains(LpBall(p, box.semi_axes), corner, eps) is not Containment.OUTSIDE
 
 
 def threshold_sufficiency_check(
@@ -107,7 +120,7 @@ def threshold_sufficiency_check(
             if p < p0 - 1e-12:
                 raise ValueError(f"grid value {p} is below the threshold {p0}")
     box_set = frozenset(list_lattice_points(AxisBox(box.semi_axes)))
-    return all(_invariant_at(box, box_set, p, eps) for p in grid)
+    return all(_retained_set(box, p, eps) == box_set for p in grid)
 
 
 def empirical_threshold(box: AxisBox, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
@@ -116,23 +129,27 @@ def empirical_threshold(box: AxisBox, tol: float = 1e-6, eps: float = DEFAULT_EP
 
     Monotonicity makes the bracket sound: the Lp gauge of a fixed point is
     nonincreasing in p, so once a point is retained it stays retained.
+    Each probe classifies only the binding corner (floor(alpha_i))_i, which
+    dominates every box lattice point coordinate by coordinate, so the
+    point sets agree exactly when the corner is retained.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     report = p_threshold(box)
-    box_set = frozenset(list_lattice_points(AxisBox(box.semi_axes)))
     lo = 1.0
-    if _invariant_at(box, box_set, lo, eps):
+    if _invariant_at(box, lo, eps):
         return lo
     hi = report.p0
-    if not _invariant_at(box, box_set, hi, eps):
+    if not _invariant_at(box, hi, eps):
         raise RuntimeError(
             "empirical_threshold: point set differs from the box set at p0, "
             "which the sufficient threshold rules out; this is a bug"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _invariant_at(box, box_set, mid, eps):
+        if _invariant_at(box, mid, eps):
             hi = mid
         else:
             lo = mid

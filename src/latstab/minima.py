@@ -34,10 +34,9 @@ from .bodies import (
     box_gauge_opnorm,
     gauge,
 )
-from .enumeration import MAX_CANDIDATES, MAX_DIM, bounding_half_widths
+from .enumeration import _FLOAT_SLACK, MAX_CANDIDATES, MAX_DIM, bounding_half_widths
 
 _DOUBLING_CAP = 20
-_FLOAT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bodies import (
     DEFAULT_EPS,
@@ -89,6 +88,21 @@ def givens_rotation(d: int, i: int, j: int, theta: float) -> Rotation:
     m[i, j] = -s
     m[j, i] = s
     return Rotation(m, plane=(i, j), theta=float(theta))
+
+
+def expm(skew) -> np.ndarray:
+    """Matrix exponential of a real skew-symmetric matrix S.
+
+    i*S is Hermitian, so eigh gives i*S = U diag(w) U^H with real w, and
+    exp(S) = U diag(exp(-i w)) U^H, which is real up to rounding.
+    """
+    s = np.asarray(skew, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError("expm needs a square matrix")
+    if not np.isfinite(s).all() or np.any(s + s.T):
+        raise ValueError("expm needs a finite skew-symmetric matrix")
+    w, u = np.linalg.eigh(1j * s)
+    return ((u * np.exp(-1j * w)) @ u.conj().T).real
 
 
 def random_rotation(d: int, seed: int, max_opnorm: float) -> Rotation:

@@ -161,8 +161,9 @@ def test_float_membership_uses_boundary_band():
 
 
 def test_contains_rejects_negative_eps():
-    with pytest.raises(ValueError):
-        ls.contains(box("1"), (0,), eps=-1)
+    for eps in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            ls.contains(box("1"), (0,), eps=eps)
 
 
 # ---------------------------------------------------------- circumradius

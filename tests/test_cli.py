@@ -219,9 +219,26 @@ def test_invalid_env_eps(capsys, monkeypatch):
     assert "LATSTAB_EPS" in err
 
 
-def test_negative_eps_rejected(capsys):
-    code, _, _ = run(capsys, "verify", "--alphas", "1,1", "--eps", "-1")
+@pytest.mark.parametrize(
+    "flag, env",
+    [
+        pytest.param("-1", None, id="eps=-1"),
+        pytest.param("nan", None, id="eps=nan"),
+        pytest.param("inf", None, id="eps=inf"),
+        pytest.param(None, "nan", id="env=nan"),
+        pytest.param(None, "inf", id="env=inf"),
+    ],
+)
+def test_negative_eps_rejected(capsys, monkeypatch, flag, env):
+    argv = ["verify", "--alphas", "2.3,1.7", "--p", "2.5"]
+    if flag is not None:
+        argv += ["--eps", flag]
+    if env is not None:
+        monkeypatch.setenv("LATSTAB_EPS", env)
+    code, out, err = run(capsys, *argv)
     assert code == 1
+    assert out == ""
+    assert "eps" in err
 
 
 # ------------------------------------------------------------- file output

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latstab as ls
 from latstab import VerdictStatus
+from latstab.bodies import DEFAULT_EPS
+from latstab.lp import _invariant_at, _retained_set
 
 
 def box(*alphas):
@@ -21,6 +24,37 @@ def random_noninteger_box(rng, max_dim=4):
             n = rng.randint(1, 35)
         axes.append(Fraction(n, 10))
     return ls.AxisBox(axes)
+
+
+@st.composite
+def boxes(draw, max_dim=3, lo=1, hi=35):
+    d = draw(st.integers(1, max_dim))
+    return box(*[Fraction(draw(st.integers(lo, hi)), 10) for _ in range(d)])
+
+
+def box_set(b):
+    return frozenset(ls.list_lattice_points(b))
+
+
+def brute_force_threshold(b, tol=1e-6, eps=DEFAULT_EPS):
+    """Independent oracle: the same bisection as empirical_threshold, but
+    each probe compares the enumerated Lp point set with the box set."""
+    target = box_set(b)
+
+    def invariant(p):
+        return _retained_set(b, p, eps) == target
+
+    lo = 1.0
+    if invariant(lo):
+        return lo
+    hi = ls.p_threshold(b).p0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if invariant(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def bisect_binding_equation(terms, lo=1.0, hi=400.0):
@@ -162,9 +196,58 @@ def test_empirical_threshold_random_boxes_below_p0():
         assert ls.empirical_threshold(b) <= ls.p_threshold(b).p0 + 1e-6
 
 
-def test_empirical_threshold_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        ls.empirical_threshold(box("1.5"), tol=0.0)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param({"tol": 0.0}, id="tol=0"),
+        pytest.param({"tol": math.nan}, id="tol=nan"),
+        pytest.param({"tol": math.inf}, id="tol=inf"),
+        pytest.param({"eps": math.nan}, id="eps=nan"),
+        pytest.param({"eps": math.inf}, id="eps=inf"),
+    ],
+)
+def test_empirical_threshold_rejects_bad_tol(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ls.empirical_threshold(box("2.3", "1.7"), **kwargs)
+
+
+# ------------------------------------------ corner probe vs point-set oracle
+
+@settings(max_examples=150, deadline=None)
+@given(
+    boxes(),
+    st.one_of(st.floats(1, 30), st.integers(1, 30)),
+    st.sampled_from([0.0, DEFAULT_EPS, 1e-6]),
+)
+def test_corner_probe_matches_point_set_oracle(b, p, eps):
+    assert _invariant_at(b, p, eps) == (_retained_set(b, p, eps) == box_set(b))
+
+
+def test_corner_probe_exact_boundary_corner_retained():
+    # the corner (1, 1) sits exactly on the boundary: 9/25 + 16/25 = 1, so
+    # only the exact integer-exponent path can retain it
+    b = box("5/3", "5/4")
+    for eps in (0.0, DEFAULT_EPS):
+        assert _invariant_at(b, 2, eps)
+        assert _retained_set(b, 2, eps) == box_set(b)
+
+
+def test_corner_probe_floor_zero_coordinate():
+    # floor(0.4) = 0 pins z_0 = 0, so the binding corner is (0, 2, 1)
+    b = box("0.4", "2.5", "1.5")
+    for p in (1, 1.5, 2, 2.7, 3, 4.25, 10):
+        assert _invariant_at(b, p, DEFAULT_EPS) == (
+            _retained_set(b, p, DEFAULT_EPS) == box_set(b)
+        ), p
+    assert not _invariant_at(b, 1, DEFAULT_EPS)
+    assert _invariant_at(b, 10, DEFAULT_EPS)
+
+
+def test_empirical_threshold_equals_brute_force_bisection():
+    rng = random.Random(2718281828)  # the boxes of acceptance criterion 8
+    for _ in range(50):
+        b = random_noninteger_box(rng)
+        assert ls.empirical_threshold(b) == brute_force_threshold(b), b.semi_axes
 
 
 # ------------------------------------------------- integer-alpha exclusion

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +149,29 @@ def test_random_rotation_contracts():
         assert np.max(np.abs(rot.matrix.T @ rot.matrix - np.eye(d))) <= 1e-12
         opnorm = ls.euclidean_opnorm(rot.matrix - np.eye(d))
         assert 0.0 < opnorm <= 0.4 + 1e-9
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 2.5, -0.7, math.pi])
+def test_expm_of_planar_generator_is_givens_rotation(t):
+    generator = np.array([[0.0, -t], [t, 0.0]])
+    expected = ls.givens_rotation(2, 0, 1, t).matrix
+    assert np.max(np.abs(ls.stability.expm(generator) - expected)) <= 1e-15
+
+
+def test_expm_rejects_non_skew_input():
+    for bad in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, math.nan], [math.nan, 0.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            ls.stability.expm(bad)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, latstab, latstab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_random_rotation_rejects_bad_max():
