@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .bodies import DEFAULT_EPS, AxisBox, LpBall, RotatedBox, _lp_power_sum_exact
+from .bodies import DEFAULT_EPS, Body, LpBall
 from .enumeration import classify_lattice_points, count_box_closed_form
 from .minima import box_minima_closed_form, successive_minima
 
@@ -29,7 +29,7 @@ class VerdictStatus(Enum):
     AMBIGUOUS = "boundary-ambiguous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     g: int
     rhs: int
@@ -121,27 +121,24 @@ def verify(body, eps: float = DEFAULT_EPS) -> Verdict:
     rational power sums.  Everything else runs on floats with the snapping
     and ambiguity demotions described in the module docstring.
     """
-    if isinstance(body, AxisBox) or (isinstance(body, LpBall) and body.is_box):
-        box = body if isinstance(body, AxisBox) else body.as_axis_box()
-        g = count_box_closed_form(box)
+    if not isinstance(body, Body):
+        raise ValueError(f"unsupported body type: {type(body).__name__}")
+    box = body._box
+    if box is not None:
+        g, ambiguous = count_box_closed_form(box), 0
         minima = box_minima_closed_form(box)
-        rhs, snapped = rhs_functional(minima.lambdas, eps)
-        status, note = _status(g, rhs, 0, snapped, exact=True)
-        return Verdict(g, rhs, minima.lambdas, status, 0, snapped, note)
-    if isinstance(body, LpBall) and body.int_exponent is not None:
-        inside, ambiguous = classify_lattice_points(body, eps)
+    else:
+        inside, ambiguous_points = classify_lattice_points(body, eps)
+        g, ambiguous = len(inside), len(ambiguous_points)
         minima = successive_minima(body)
-        rhs = 1
+    p = body.int_exponent if isinstance(body, LpBall) else None
+    if p is not None:
+        # each witness's minima key is its exact power sum
+        rhs, snapped = 1, False
         for w in minima.witnesses:
-            rhs *= _exact_lp_rhs_factor(_lp_power_sum_exact(body, w), body.int_exponent)
-        status, note = _status(len(inside), rhs, len(ambiguous), False, exact=True)
-        return Verdict(len(inside), rhs, minima.lambdas, status, len(ambiguous), False, note)
-    if isinstance(body, (RotatedBox, LpBall)):
-        inside, ambiguous = classify_lattice_points(body, eps)
-        minima = successive_minima(body)
+            rhs *= _exact_lp_rhs_factor(body._minima_key(w)[0], p)
+    else:
         rhs, snapped = rhs_functional(minima.lambdas, eps)
-        status, note = _status(len(inside), rhs, len(ambiguous), snapped, exact=False)
-        return Verdict(
-            len(inside), rhs, minima.lambdas, status, len(ambiguous), snapped, note
-        )
-    raise ValueError(f"unsupported body type: {type(body).__name__}")
+    exact = box is not None or p is not None
+    status, note = _status(g, rhs, ambiguous, snapped, exact)
+    return Verdict(g, rhs, minima.lambdas, status, ambiguous, snapped, note)

@@ -31,6 +31,8 @@ DEFAULT_EPS = 1e-9
 
 _ORTHOGONALITY_TOL = 1e-12
 _INVERSE_TOL = 1e-10
+_OPNORM_TOL = 1e-10
+_OPNORM_MAX_ITER = 10000
 
 
 class Containment(Enum):
@@ -58,16 +60,72 @@ def _validate_semi_axes(semi_axes) -> tuple[Fraction, ...]:
     return tuple(axes)
 
 
-def _freeze_matrix(m) -> np.ndarray:
+def _freeze_matrix(m, name: str) -> np.ndarray:
     out = np.array(m, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError("matrix must be square")
+        raise ValueError(f"{name} must be square")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} has NaN or infinite entries")
     out.setflags(write=False)
     return out
 
 
+def _is_rational_vector(x) -> bool:
+    return all(isinstance(c, Rational) for c in x)
+
+
+def _box_gauge_exact(axes: tuple[Fraction, ...], x) -> Fraction:
+    return max(abs(Fraction(c)) / a for c, a in zip(x, axes))
+
+
+def _box_gauge_float(float_axes: tuple[float, ...], x) -> float:
+    return float(max(abs(float(c)) / a for c, a in zip(x, float_axes)))
+
+
+def _lp_gauge_float(float_axes: tuple[float, ...], p: float, x) -> float:
+    ratios = [abs(float(c)) / a for c, a in zip(x, float_axes)]
+    top = max(ratios)
+    if top == 0.0:
+        return 0.0
+    # Factor out the largest ratio so (r/top)**p underflows harmlessly
+    # instead of zeroing the whole sum at large p.
+    acc = sum((r / top) ** p for r in ratios)
+    return top * acc ** (1.0 / p)
+
+
+def _band(g: float, eps: float) -> Containment:
+    if g <= 1.0 - eps:
+        return Containment.INSIDE
+    if g >= 1.0 + eps:
+        return Containment.OUTSIDE
+    return Containment.AMBIGUOUS
+
+
+class _Body:
+    """The questions every body family answers.  The module-level
+    functions check their arguments once and then ask the body:
+
+    - ``_gauge(x)``: the gauge, an exact Fraction where the family allows;
+    - ``_contains(x, eps)``: three-valued membership;
+    - ``_half_widths()``: h with the body inside prod [-h_i, h_i], exact
+      rationals where the family allows;
+    - ``_minima_key(z)``: (sort key, lambda) of a lattice vector z for the
+      minima solver, where the key orders vectors by gauge;
+    - ``_box``: the AxisBox the body coincides with, or None.
+    """
+
+    _box = None
+
+    def _contains(self, x, eps: float) -> Containment:
+        return _band(self._gauge(x), eps)
+
+    def _minima_key(self, z):
+        g = self._gauge(z)
+        return g, g
+
+
 @dataclass(frozen=True)
-class AxisBox:
+class AxisBox(_Body):
     """Axis-aligned o-symmetric box {x : |x_i| <= alpha_i} with exact
     rational semi-axes."""
 
@@ -89,10 +147,29 @@ class AxisBox:
         """Coordinate indices sorted by semi-axis, largest first (stable)."""
         return tuple(sorted(range(self.dim), key=lambda i: (-self.semi_axes[i], i)))
 
+    @property
+    def _box(self) -> AxisBox:
+        return self
+
+    def _gauge(self, x) -> Fraction | float:
+        if _is_rational_vector(x):
+            return _box_gauge_exact(self.semi_axes, x)
+        return _box_gauge_float(self.float_axes, x)
+
+    def _contains(self, x, eps: float) -> Containment:
+        if _is_rational_vector(x):
+            if _box_gauge_exact(self.semi_axes, x) <= 1:
+                return Containment.INSIDE
+            return Containment.OUTSIDE
+        return _band(_box_gauge_float(self.float_axes, x), eps)
+
+    def _half_widths(self) -> tuple[Fraction, ...]:
+        return self.semi_axes
+
 
 @dataclass(frozen=True, eq=False)
 class Rotation:
-    """Proper rotation: orthogonal to within ``tol`` and det > 0.
+    """Proper rotation: orthogonal to within 1e-12 and det > 0.
 
     ``plane``/``theta`` are populated when the matrix was built as a planar
     (Givens) rotation.  They record that every coordinate outside the plane
@@ -101,17 +178,17 @@ class Rotation:
     """
 
     matrix: np.ndarray
-    tol: float = _ORTHOGONALITY_TOL
     plane: tuple[int, int] | None = None
     theta: float | None = None
 
     def __post_init__(self):
-        m = _freeze_matrix(self.matrix)
+        m = _freeze_matrix(self.matrix, "rotation matrix")
         d = m.shape[0]
         err = float(np.max(np.abs(m.T @ m - np.eye(d))))
-        if err > self.tol:
+        if not err <= _ORTHOGONALITY_TOL:
             raise ValueError(
-                f"matrix is not orthogonal: max |R^T R - I| = {err:.3e} > {self.tol:.1e}"
+                f"matrix is not orthogonal: max |R^T R - I| = {err:.3e} "
+                f"> {_ORTHOGONALITY_TOL:.1e}"
             )
         if np.linalg.det(m) <= 0:
             raise ValueError("matrix must have positive determinant")
@@ -146,7 +223,7 @@ class Transform:
     inverse: np.ndarray | None = None
 
     def __post_init__(self):
-        m = _freeze_matrix(self.matrix)
+        m = _freeze_matrix(self.matrix, "transform matrix")
         if self.inverse is None:
             try:
                 inv = np.linalg.inv(m)
@@ -156,7 +233,7 @@ class Transform:
             inv = np.array(self.inverse, dtype=float)
         inv.setflags(write=False)
         err = float(np.max(np.abs(m @ inv - np.eye(m.shape[0]))))
-        if err > _INVERSE_TOL:
+        if not err <= _INVERSE_TOL:
             raise ValueError(
                 f"inverse check failed: max |T T^-1 - I| = {err:.3e} > {_INVERSE_TOL:.1e}"
             )
@@ -168,12 +245,34 @@ class Transform:
         return self.matrix.shape[0]
 
 
+class _BoxImage(_Body):
+    """Image T*K of the axis box K = ``base``, where a subclass gives T as
+    ``_matrix`` and T^-1 as ``_inverse``.  In floats, the gauge is the box
+    gauge of T^-1 x and the half-widths are the support function at each
+    +-e_i, |T| alpha."""
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def _gauge(self, x) -> float:
+        y = self._inverse @ np.asarray(x, dtype=float)
+        return _box_gauge_float(self.base.float_axes, y)
+
+    def _half_widths(self) -> tuple[float, ...]:
+        af = np.array(self.base.float_axes)
+        return tuple(float(v) for v in np.abs(self._matrix) @ af)
+
+
 @dataclass(frozen=True, eq=False)
-class RotatedBox:
+class RotatedBox(_BoxImage):
     """Image R*K of an axis box under a proper rotation."""
 
     base: AxisBox
     rotation: Rotation
+
+    _matrix = property(lambda self: self.rotation.matrix)
+    _inverse = property(lambda self: self.rotation.matrix.T)
 
     def __post_init__(self):
         if self.base.dim != self.rotation.dim:
@@ -182,18 +281,56 @@ class RotatedBox:
                 f"rotation is {self.rotation.dim}-dimensional"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+    def _gauge_parts(self, x) -> tuple[Fraction | None, float]:
+        """Split the gauge of x into an exact part and a float part.
+
+        For a planar rotation and a rational point, coordinates outside the
+        rotation plane contribute an exact rational maximum (first element);
+        the two in-plane coordinates contribute a float (second element).
+        The gauge is the max of the two.  For anything else the exact part
+        is None and the float part is the whole gauge.
+        """
+        rot = self.rotation
+        if rot.plane is None or not _is_rational_vector(x):
+            return None, super()._gauge(x)
+        i, j = rot.plane
+        c = float(rot.matrix[i, i])
+        s = float(rot.matrix[j, i])
+        xi, xj = float(x[i]), float(x[j])
+        fa = self.base.float_axes
+        in_plane = max(abs(c * xi + s * xj) / fa[i], abs(-s * xi + c * xj) / fa[j])
+        axes = self.base.semi_axes
+        rest = [abs(Fraction(x[k])) / axes[k] for k in range(self.dim) if k != i and k != j]
+        return (max(rest) if rest else None), in_plane
+
+    def _gauge(self, x) -> float:
+        exact_part, float_part = self._gauge_parts(x)
+        if exact_part is None:
+            return float_part
+        return max(float(exact_part), float_part)
+
+    def _contains(self, x, eps: float) -> Containment:
+        exact_part, float_part = self._gauge_parts(x)
+        # Only the in-plane float part carries a band; the off-plane part
+        # is exact.
+        if (exact_part is not None and exact_part > 1) or float_part >= 1.0 + eps:
+            return Containment.OUTSIDE
+        return _band(float_part, eps)
+
+    def _minima_key(self, z):
+        exact_part, float_part = self._gauge_parts(z)
+        if exact_part is not None and exact_part >= float_part:
+            return exact_part, exact_part
+        return float_part, float_part
 
 
 @dataclass(frozen=True)
-class LpBall:
+class LpBall(_Body):
     """Anisotropic Lp-ball {x : sum |x_i/alpha_i|^p <= 1}, 1 <= p <= inf.
 
     p = math.inf is the exact encoding of the limiting box, never a large
-    finite stand-in; at p = inf the ball coincides with the AxisBox of the
-    same semi-axes and inherits its exact-arithmetic paths.
+    finite stand-in; at p = inf the ball delegates every question to the
+    AxisBox of the same semi-axes and inherits its exact-arithmetic paths.
     """
 
     p: float
@@ -207,6 +344,8 @@ class LpBall:
         if not isinstance(p, (int, float)) or math.isnan(p) or p < 1:
             raise ValueError(f"p must be a real >= 1 or math.inf, got {self.p!r}")
         object.__setattr__(self, "p", math.inf if p == math.inf else float(p))
+        # set once here: membership asks for it on every call
+        object.__setattr__(self, "_box", self.as_axis_box() if self.is_box else None)
 
     @property
     def dim(self) -> int:
@@ -231,9 +370,40 @@ class LpBall:
     def float_axes(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.semi_axes)
 
+    def _power_sum(self, x) -> Fraction:
+        """sum |x_i/alpha_i|^p as an exact rational; requires integer p and
+        rational x."""
+        k = self.int_exponent
+        return sum((abs(Fraction(c)) / a) ** k for c, a in zip(x, self.semi_axes))
+
+    def _gauge(self, x) -> Fraction | float:
+        if self._box is not None:
+            return self._box._gauge(x)
+        return _lp_gauge_float(self.float_axes, self.p, x)
+
+    def _contains(self, x, eps: float) -> Containment:
+        if self._box is not None:
+            return self._box._contains(x, eps)
+        if self.int_exponent is not None and _is_rational_vector(x):
+            if self._power_sum(x) <= 1:
+                return Containment.INSIDE
+            return Containment.OUTSIDE
+        return _band(_lp_gauge_float(self.float_axes, self.p, x), eps)
+
+    def _half_widths(self) -> tuple[Fraction, ...]:
+        return self.semi_axes
+
+    def _minima_key(self, z):
+        if self.int_exponent is None:
+            return super()._minima_key(z)
+        # The exact power sum is monotone in the gauge, so it orders the
+        # candidates exactly; lambda is its float p-th root.
+        s = self._power_sum(z)
+        return s, math.exp((math.log(s.numerator) - math.log(s.denominator)) / self.p)
+
 
 @dataclass(frozen=True, eq=False)
-class LinearImage:
+class LinearImage(_BoxImage):
     """Image T*K of an axis box under an invertible map.
 
     Internal support type for the successive-minima continuity checker; not
@@ -242,13 +412,12 @@ class LinearImage:
     base: AxisBox
     transform: Transform
 
+    _matrix = property(lambda self: self.transform.matrix)
+    _inverse = property(lambda self: self.transform.inverse)
+
     def __post_init__(self):
         if self.base.dim != self.transform.dim:
             raise ValueError("dimension mismatch between box and transform")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
 
 Body = Union[AxisBox, RotatedBox, LpBall]
@@ -262,60 +431,10 @@ def _check_dim(body_dim: int, x: Sequence) -> None:
         )
 
 
-def _is_rational_vector(x) -> bool:
-    return all(isinstance(c, Rational) for c in x)
-
-
-def _box_gauge_exact(axes: tuple[Fraction, ...], x) -> Fraction:
-    return max(abs(Fraction(c)) / a for c, a in zip(x, axes))
-
-
-def _box_gauge_float(float_axes: tuple[float, ...], x) -> float:
-    return float(max(abs(float(c)) / a for c, a in zip(x, float_axes)))
-
-
-def _rotated_gauge_parts(body: RotatedBox, x) -> tuple[Fraction | None, float]:
-    """Split the rotated-box gauge of x into an exact part and a float part.
-
-    For a planar rotation and a rational point, coordinates outside the
-    rotation plane contribute an exact rational maximum (first element);
-    the two in-plane coordinates contribute a float (second element).  The
-    gauge is the max of the two.  For anything else the exact part is None
-    and the float part is the whole gauge.
-    """
-    rot = body.rotation
-    if rot.plane is None or not _is_rational_vector(x):
-        y = rot.matrix.T @ np.asarray(x, dtype=float)
-        return None, _box_gauge_float(body.base.float_axes, y)
-    i, j = rot.plane
-    c = float(rot.matrix[i, i])
-    s = float(rot.matrix[j, i])
-    xi, xj = float(x[i]), float(x[j])
-    fa = body.base.float_axes
-    in_plane = max(abs(c * xi + s * xj) / fa[i], abs(-s * xi + c * xj) / fa[j])
-    axes = body.base.semi_axes
-    rest = [abs(Fraction(x[k])) / axes[k] for k in range(body.dim) if k != i and k != j]
-    return (max(rest) if rest else None), in_plane
-
-
-def _lp_gauge_float(float_axes: tuple[float, ...], p: float, x) -> float:
-    ratios = [abs(float(c)) / a for c, a in zip(x, float_axes)]
-    top = max(ratios)
-    if top == 0.0:
-        return 0.0
-    # Factor out the largest ratio so (r/top)**p underflows harmlessly
-    # instead of zeroing the whole sum at large p.
-    acc = sum((r / top) ** p for r in ratios)
-    return top * acc ** (1.0 / p)
-
-
-def _lp_power_sum_exact(ball: LpBall, x) -> Fraction:
-    """sum |x_i/alpha_i|^p as an exact rational; requires integer p and
-    rational x."""
-    k = ball.int_exponent
-    return sum(
-        (abs(Fraction(c)) / a) ** k for c, a in zip(x, ball.semi_axes)
-    )
+def _supported(body) -> _Body:
+    if not isinstance(body, _Body):
+        raise TypeError(f"unsupported body type: {type(body).__name__}")
+    return body
 
 
 def gauge(body, x) -> Fraction | float:
@@ -324,37 +443,8 @@ def gauge(body, x) -> Fraction | float:
     Returns an exact Fraction for an axis box (or an Lp-ball at p = inf)
     evaluated at a rational point, a float otherwise.
     """
-    if isinstance(body, AxisBox):
-        _check_dim(body.dim, x)
-        if _is_rational_vector(x):
-            return _box_gauge_exact(body.semi_axes, x)
-        return _box_gauge_float(body.float_axes, x)
-    if isinstance(body, LpBall):
-        _check_dim(body.dim, x)
-        if body.is_box:
-            if _is_rational_vector(x):
-                return _box_gauge_exact(body.semi_axes, x)
-            return _box_gauge_float(body.float_axes, x)
-        return _lp_gauge_float(body.float_axes, body.p, x)
-    if isinstance(body, RotatedBox):
-        _check_dim(body.dim, x)
-        exact_part, float_part = _rotated_gauge_parts(body, x)
-        if exact_part is None:
-            return float_part
-        return max(float(exact_part), float_part)
-    if isinstance(body, LinearImage):
-        _check_dim(body.dim, x)
-        y = body.transform.inverse @ np.asarray(x, dtype=float)
-        return _box_gauge_float(body.base.float_axes, y)
-    raise TypeError(f"unsupported body type: {type(body).__name__}")
-
-
-def _band(g: float, eps: float) -> Containment:
-    if g <= 1.0 - eps:
-        return Containment.INSIDE
-    if g >= 1.0 + eps:
-        return Containment.OUTSIDE
-    return Containment.AMBIGUOUS
+    _check_dim(_supported(body).dim, x)
+    return body._gauge(x)
 
 
 def contains(body, x, eps: float = DEFAULT_EPS) -> Containment:
@@ -367,46 +457,8 @@ def contains(body, x, eps: float = DEFAULT_EPS) -> Containment:
     """
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
-    if isinstance(body, AxisBox):
-        _check_dim(body.dim, x)
-        if _is_rational_vector(x):
-            return (
-                Containment.INSIDE
-                if _box_gauge_exact(body.semi_axes, x) <= 1
-                else Containment.OUTSIDE
-            )
-        return _band(_box_gauge_float(body.float_axes, x), eps)
-    if isinstance(body, LpBall):
-        _check_dim(body.dim, x)
-        if body.is_box:
-            if _is_rational_vector(x):
-                return (
-                    Containment.INSIDE
-                    if _box_gauge_exact(body.semi_axes, x) <= 1
-                    else Containment.OUTSIDE
-                )
-            return _band(_box_gauge_float(body.float_axes, x), eps)
-        if body.int_exponent is not None and _is_rational_vector(x):
-            return (
-                Containment.INSIDE
-                if _lp_power_sum_exact(body, x) <= 1
-                else Containment.OUTSIDE
-            )
-        return _band(_lp_gauge_float(body.float_axes, body.p, x), eps)
-    if isinstance(body, RotatedBox):
-        _check_dim(body.dim, x)
-        exact_part, float_part = _rotated_gauge_parts(body, x)
-        if exact_part is not None and exact_part > 1:
-            return Containment.OUTSIDE
-        if float_part >= 1.0 + eps:
-            return Containment.OUTSIDE
-        if float_part <= 1.0 - eps:
-            # In-plane part is safely interior, off-plane part is exact.
-            return Containment.INSIDE
-        return Containment.AMBIGUOUS
-    if isinstance(body, LinearImage):
-        return _band(gauge(body, x), eps)
-    raise TypeError(f"unsupported body type: {type(body).__name__}")
+    _check_dim(_supported(body).dim, x)
+    return body._contains(x, eps)
 
 
 def circumradius(body) -> float:
@@ -437,8 +489,8 @@ def box_gauge_opnorm(box: AxisBox, a) -> float:
     return float(np.max((np.abs(m) @ af) / af))
 
 
-def euclidean_opnorm(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value, iterated to relative tolerance ``tol``.
+def euclidean_opnorm(a) -> float:
+    """Largest singular value, iterated to relative tolerance 1e-10.
 
     Power iteration on B = A^T A, preceded by a normalised
     repeated-squaring phase: squaring B sixty times raises the eigenvalue
@@ -446,8 +498,8 @@ def euclidean_opnorm(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
     even when the spectral gap is far too small for plain power steps.
     The refinement loop stops on the Rayleigh-quotient residual, which for
     a symmetric matrix bounds the eigenvalue error directly.  Raises
-    RuntimeError if the residual never stabilises within ``max_iter``
-    steps, which signals pathological input.
+    RuntimeError if the residual never stabilises within 10000 steps,
+    which signals pathological input.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -470,15 +522,15 @@ def euclidean_opnorm(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
             break
     if v is None:
         v = starts[0] / np.linalg.norm(starts[0])
-    for _ in range(max_iter):
+    for _ in range(_OPNORM_MAX_ITER):
         w = b @ v
         lam = float(v @ w)
         if lam <= 0.0:
             return 0.0
         residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol * lam:
+        if residual <= _OPNORM_TOL * lam:
             return math.sqrt(lam)
         v = w / np.linalg.norm(w)
     raise RuntimeError(
-        f"euclidean_opnorm: power iteration did not converge in {max_iter} steps"
+        f"euclidean_opnorm: power iteration did not converge in {_OPNORM_MAX_ITER} steps"
     )

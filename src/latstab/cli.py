@@ -221,6 +221,8 @@ def _cmd_rotation_sweep(args) -> int:
     else:
         if args.max_opnorm is None:
             raise ValueError("--samples needs --max-opnorm")
+        if args.samples < 0:
+            raise ValueError(f"--samples must be nonnegative, got {args.samples}")
         rotations = [
             random_rotation(box.dim, args.seed + k, args.max_opnorm)
             for k in range(args.samples)

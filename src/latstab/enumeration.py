@@ -15,17 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Rational
 
-import numpy as np
-
-from .bodies import (
-    DEFAULT_EPS,
-    AxisBox,
-    Containment,
-    LinearImage,
-    LpBall,
-    RotatedBox,
-    contains,
-)
+from .bodies import DEFAULT_EPS, AxisBox, Containment, _supported, contains
 
 #: Brute-force dimension cap; beyond this the iteration space explodes.
 MAX_DIM = 8
@@ -35,7 +25,7 @@ MAX_CANDIDATES = 10**9
 _FLOAT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountResult:
     count: int
     ambiguous: int
@@ -49,25 +39,18 @@ def bounding_half_widths(body) -> tuple:
     transformed boxes return the support function of the image at each
     +-e_i, sum_j |M_ij| alpha_j, as floats.
     """
-    if isinstance(body, (AxisBox, LpBall)):
-        return body.semi_axes
-    if isinstance(body, RotatedBox):
-        m = body.rotation.matrix
-    elif isinstance(body, LinearImage):
-        m = body.transform.matrix
-    else:
-        raise TypeError(f"unsupported body type: {type(body).__name__}")
-    af = np.array(body.base.float_axes)
-    return tuple(float(v) for v in np.abs(m) @ af)
+    return _supported(body)._half_widths()
 
 
-def _candidate_ranges(body) -> list[range]:
+def _candidate_ranges(body, radius=1) -> list[range]:
+    """Integer ranges covering the bounding box of the ``radius``-dilate,
+    floored exactly when both factors are rational."""
     limits = []
     for h in bounding_half_widths(body):
-        if isinstance(h, Rational):
-            limits.append(math.floor(h))
+        if isinstance(h, Rational) and isinstance(radius, Rational):
+            limits.append(math.floor(radius * h))
         else:
-            limits.append(math.floor(h + _FLOAT_SLACK))
+            limits.append(math.floor(float(radius) * float(h) + _FLOAT_SLACK))
     return [range(-l, l + 1) for l in limits]
 
 
@@ -118,8 +101,7 @@ def count_box_closed_form(box: AxisBox) -> int:
 def count_points(body, eps: float = DEFAULT_EPS) -> CountResult:
     """Count with the closed form where one exists (axis boxes, Lp-balls at
     p = inf), brute force otherwise."""
-    if isinstance(body, AxisBox):
-        return CountResult(count_box_closed_form(body), 0, "closed-form")
-    if isinstance(body, LpBall) and body.is_box:
-        return CountResult(count_box_closed_form(body.as_axis_box()), 0, "closed-form")
+    box = _supported(body)._box
+    if box is not None:
+        return CountResult(count_box_closed_form(box), 0, "closed-form")
     return count_lattice_points(body, eps)

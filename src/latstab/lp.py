@@ -45,7 +45,7 @@ from .enumeration import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdReport:
     p0: float
     excluded_coords: tuple[int, ...]  # indices with floor(alpha_i) = 0

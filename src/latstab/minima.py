@@ -16,30 +16,19 @@ rationals wherever the body allows and floats elsewhere.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from .bodies import (
-    AxisBox,
-    LinearImage,
-    LpBall,
-    RotatedBox,
-    Transform,
-    _lp_power_sum_exact,
-    _rotated_gauge_parts,
-    box_gauge_opnorm,
-    gauge,
-)
-from .enumeration import _FLOAT_SLACK, MAX_CANDIDATES, MAX_DIM, bounding_half_widths
+from .bodies import AxisBox, LinearImage, Transform, box_gauge_opnorm
+from .enumeration import _candidate_ranges, _check_caps
 
 _DOUBLING_CAP = 20
+_SANDWICH_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimaResult:
     """Sorted minima with integer witness vectors achieving them.
 
@@ -61,27 +50,6 @@ def box_minima_closed_form(box: AxisBox) -> MinimaResult:
         tuple(1 if i == k else 0 for i in range(box.dim)) for k in order
     )
     return MinimaResult(lambdas, witnesses)
-
-
-def _sort_key_and_value(body, z):
-    """(sort key, lambda value) for candidate z.
-
-    The key is exact wherever the body allows it and orders candidates by
-    gauge; the value is the gauge itself (Fraction on exact paths).  For
-    integer-exponent Lp-balls the key is the exact power sum, which is
-    monotone in the gauge, and the value is its float p-th root.
-    """
-    if isinstance(body, LpBall) and body.int_exponent is not None:
-        s = _lp_power_sum_exact(body, z)
-        lam = math.exp((math.log(s.numerator) - math.log(s.denominator)) / body.p)
-        return s, lam
-    if isinstance(body, RotatedBox):
-        exact_part, float_part = _rotated_gauge_parts(body, z)
-        if exact_part is not None and exact_part >= float_part:
-            return exact_part, exact_part
-        return float_part, float_part
-    g = gauge(body, z)
-    return g, g
 
 
 def _rank_extend(echelon: list[tuple[int, list[int]]], v: tuple[int, ...]) -> bool:
@@ -110,24 +78,13 @@ def _collect_minima(body, radius):
     """One enumeration pass at gauge radius ``radius``; returns a
     MinimaResult or None if the dilate did not yet contain d independent
     vectors."""
-    d = body.dim
-    limits = []
-    for h in bounding_half_widths(body):
-        if isinstance(h, Rational) and isinstance(radius, Rational):
-            limits.append(math.floor(radius * h))
-        else:
-            limits.append(math.floor(float(radius) * float(h) + _FLOAT_SLACK))
-    total = math.prod(2 * l + 1 for l in limits)
-    if total > MAX_CANDIDATES:
-        raise ValueError(
-            f"successive_minima: iteration space of {total} candidates "
-            f"exceeds {MAX_CANDIDATES}"
-        )
+    ranges = _candidate_ranges(body, radius)
+    _check_caps(body, ranges, "successive_minima")
     candidates = []
-    for z in itertools.product(*(range(-l, l + 1) for l in limits)):
+    for z in itertools.product(*ranges):
         if not _is_canonical(z):
             continue
-        key, lam = _sort_key_and_value(body, z)
+        key, lam = body._minima_key(z)
         candidates.append((key, z, lam))
     candidates.sort(key=lambda t: (t[0], t[1]))
     echelon: list[tuple[int, list[int]]] = []
@@ -137,9 +94,9 @@ def _collect_minima(body, radius):
         if _rank_extend(echelon, z):
             lambdas.append(lam)
             witnesses.append(z)
-            if len(witnesses) == d:
+            if len(witnesses) == body.dim:
                 break
-    if len(witnesses) < d or lambdas[-1] > radius:
+    if len(witnesses) < body.dim or lambdas[-1] > radius:
         return None
     return MinimaResult(tuple(lambdas), tuple(witnesses))
 
@@ -152,13 +109,8 @@ def successive_minima(body) -> MinimaResult:
     (degenerate inputs only; the cap turns runaway growth into an error).
     """
     d = body.dim
-    if d > MAX_DIM:
-        raise ValueError(f"successive_minima: dimension {d} exceeds the cap of {MAX_DIM}")
-    basis_gauges = []
-    for i in range(d):
-        e = tuple(1 if k == i else 0 for k in range(d))
-        basis_gauges.append(_sort_key_and_value(body, e)[1])
-    radius = max(basis_gauges)
+    basis = (tuple(1 if k == i else 0 for k in range(d)) for i in range(d))
+    radius = max(body._minima_key(e)[1] for e in basis)
     for _ in range(_DOUBLING_CAP):
         result = _collect_minima(body, radius)
         if result is not None:
@@ -170,7 +122,7 @@ def successive_minima(body) -> MinimaResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SandwichReport:
     """Per-index check of the two-sided continuity bounds
     lambda_i/(1 + eps) <= lambda_i(TK) <= (1 + eps_prime) lambda_i,
@@ -194,15 +146,13 @@ class SandwichReport:
         return all(self.lower_ok) and all(self.upper_ok)
 
 
-def check_minima_sandwich(
-    box: AxisBox, transform: Transform, slack: float = 1e-9
-) -> SandwichReport:
+def check_minima_sandwich(box: AxisBox, transform: Transform) -> SandwichReport:
     """Verify the continuity sandwich for the image TK of a box.
 
     eps and eps_prime are the exact box-gauge operator norms of T - I and
     T^-1 - I; the image minima come from the general solver on the
     composed gauge ||T^-1 x||_K.  Both inequalities are checked per index
-    within ``slack``.
+    within a slack of 1e-9.
     """
     if box.dim != transform.dim:
         raise ValueError("dimension mismatch between box and transform")
@@ -215,8 +165,8 @@ def check_minima_sandwich(
     upper_ok = []
     for b, t in zip(base.lambdas, image.lambdas):
         b, t = float(b), float(t)
-        lower_ok.append(t >= b / (1.0 + eps) - slack)
-        upper_ok.append(t <= (1.0 + eps_prime) * b + slack)
+        lower_ok.append(t >= b / (1.0 + eps) - _SANDWICH_SLACK)
+        upper_ok.append(t <= (1.0 + eps_prime) * b + _SANDWICH_SLACK)
     return SandwichReport(
         eps, eps_prime, base.lambdas, image.lambdas, tuple(lower_ok), tuple(upper_ok)
     )

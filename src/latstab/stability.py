@@ -37,16 +37,17 @@ from .bodies import (
 from .bhw import VerdictStatus, verify
 
 _IDENTITY_TOL = 1e-12
+_BASIS_GAUGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityReport:
     delta: Fraction  # isolation distance, exact
     circumradius: float
     radius: float  # delta / circumradius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     opnorm: float
     g: int
@@ -81,6 +82,8 @@ def givens_rotation(d: int, i: int, j: int, theta: float) -> Rotation:
     """
     if not (0 <= i < j < d):
         raise ValueError(f"need 0 <= i < j < d, got i={i}, j={j}, d={d}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     m = np.eye(d)
     c, s = math.cos(theta), math.sin(theta)
     m[i, i] = c
@@ -145,13 +148,13 @@ def corner_exclusion_check(box: AxisBox, rotation: Rotation, eps: float = DEFAUL
     return False
 
 
-def basis_gauge_check(box: AxisBox, rotation: Rotation, tol: float = 1e-12) -> bool:
+def basis_gauge_check(box: AxisBox, rotation: Rotation) -> bool:
     """True iff every standard basis vector has rotated-box gauge at most
-    1/alpha_i (+tol): the condition under which no minimum can grow."""
+    1/alpha_i (+1e-12): the condition under which no minimum can grow."""
     body = RotatedBox(box, rotation)
     for i in range(box.dim):
         e = tuple(1 if k == i else 0 for k in range(box.dim))
-        if gauge(body, e) > 1.0 / box.float_axes[i] + tol:
+        if gauge(body, e) > 1.0 / box.float_axes[i] + _BASIS_GAUGE_TOL:
             return False
     return True
 

@@ -325,6 +325,22 @@ def test_transform_rejects_singular():
         ls.Transform(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: ls.Transform(np.diag([math.nan, 1.0])), id="transform-nan"),
+        pytest.param(lambda: ls.Transform(np.diag([math.inf, 1.0])), id="transform-inf"),
+        pytest.param(lambda: ls.Rotation(np.diag([math.nan, 1.0])), id="rotation-nan"),
+        pytest.param(
+            lambda: ls.Transform(np.eye(2), np.diag([math.nan, 1.0])), id="inverse-nan"
+        ),
+    ],
+)
+def test_matrices_reject_non_finite_entries(make):
+    with pytest.raises(ValueError, match="NaN or infinite|inverse check"):
+        make()
+
+
 def test_rotated_box_dimension_check():
     with pytest.raises(ValueError):
         ls.RotatedBox(box("1", "1", "1"), ls.givens_rotation(2, 0, 1, 0.1))

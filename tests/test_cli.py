@@ -92,6 +92,25 @@ def test_exit_one_on_numeric_precondition(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sandwich-check", "--alphas", "1,1", "--scale", "nan"], "transform matrix"),
+        (["sandwich-check", "--alphas", "1,1", "--transform", "1,0,0,nan"], "transform matrix"),
+        (["verify", "--alphas", "1,1", "--rotate-givens", "0,1,nan"], "theta"),
+        (["verify", "--alphas", "1,1", "--rotate-givens", "0,1,inf"], "theta"),
+        (["rotation-sweep", "--alphas", "1,1", "--samples", "-2", "--max-opnorm", "0.1"],
+         "--samples"),
+    ],
+    ids=["scale-nan", "transform-nan", "givens-nan", "givens-inf", "negative-samples"],
+)
+def test_exit_one_on_non_finite_or_negative_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 # ------------------------------------------------------------ body variants
 
 def test_count_commands(capsys):

@@ -128,6 +128,12 @@ def test_givens_rejects_bad_plane():
         ls.givens_rotation(2, 0, 2, 0.1)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_givens_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        ls.givens_rotation(2, 0, 1, theta)
+
+
 def test_givens_carries_plane_metadata():
     rot = ls.givens_rotation(4, 1, 3, 0.2)
     assert rot.plane == (1, 3)
