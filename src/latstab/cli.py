@@ -54,58 +54,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _parse_alphas(text: str) -> tuple[Fraction, ...]:
-    parts = text.split(",")
-    alphas = []
-    for pos, token in enumerate(parts, start=1):
-        try:
-            alphas.append(Fraction(token.strip()))
-        except (ValueError, ZeroDivisionError):
+_KIND = {
+    Fraction: "a rational (use e.g. 2.3 or 23/10)",
+    float: "a number",
+    int: "an integer",
+}
+
+
+def _comma_list(*converters):
+    """argparse ``type`` for a comma-separated list: any number of values
+    when given one converter, exactly one value per converter otherwise."""
+
+    def parse(text: str) -> tuple:
+        tokens = text.split(",")
+        if len(converters) > 1 and len(tokens) != len(converters):
             raise argparse.ArgumentTypeError(
-                f"position {pos}: {token!r} is not a rational (use e.g. 2.3 or 23/10)"
+                f"expected {len(converters)} comma-separated values, got {len(tokens)}"
             )
-    return tuple(alphas)
+        kinds = converters * len(tokens) if len(converters) == 1 else converters
+        values = []
+        for pos, (convert, token) in enumerate(zip(kinds, tokens), start=1):
+            try:
+                values.append(convert(token.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise argparse.ArgumentTypeError(
+                    f"position {pos}: {token!r} is not {_KIND[convert]}"
+                )
+        return tuple(values)
 
-
-def _parse_givens(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected i,j,theta")
-    try:
-        return int(parts[0]), int(parts[1]), float(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r} as i,j,theta")
-
-
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number or 'inf'")
-    return value
-
-
-def _parse_p_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_p(tok) for tok in text.split(","))
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r} as a float list")
-
-
-def _parse_plane(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected i,j")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r} as i,j")
+    return parse
 
 
 def _body_from_args(args):
@@ -130,89 +107,111 @@ def _num(value):
     return float(value)
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+def _json(obj, code: int = EXIT_OK) -> tuple[str, int]:
+    return json.dumps(obj, separators=(",", ":")) + "\n", code
 
 
-def _csv_text(header, rows) -> str:
+def _table(fmt: str, header, rows) -> tuple[str, int]:
+    """A sweep table: RFC-4180 CSV (CRLF line endings, minimal quoting) with
+    lower-case booleans, or a JSON list of objects keyed by the header with
+    non-finite floats as null."""
+    if fmt == "json":
+        return _json([
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in zip(header, row)}
+            for row in rows
+        ])
     buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC 4180: CRLF line endings, minimal quoting
+    writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    return buf.getvalue(), EXIT_OK
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+# Every subcommand, registered in this order by build_parser:
+# (name, summary, flags after --alphas and before --out/--eps, handler).
+_COMMANDS = []
+_GIVENS = {"type": _comma_list(int, int, float), "metavar": "I,J,THETA"}
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_ALPHAS = ("--alphas", {
+    "type": _comma_list(Fraction), "required": True,
+    "help": "comma-separated exact rational semi-axes, e.g. 2.3,1.7 or 23/10,17/10",
+})
+_BODY_VARIANTS = (
+    ("--rotate-givens",
+     dict(_GIVENS, help="rotate the box by a planar rotation in coordinates (i, j)")),
+    ("--p", {"type": float,
+             "help": "use the Lp-ball with these semi-axes; a number >= 1 or 'inf'"}),
+)
+_OUT_AND_EPS = (
+    ("--out", {"help": "output file (default stdout)"}),
+    ("--eps", {"type": float,
+               "help": f"boundary band half-width (default {DEFAULT_EPS}, or $LATSTAB_EPS)"}),
+)
 
 
-def _cmd_count(args) -> int:
-    result = count_points(_body_from_args(args), args.eps)
-    _emit(
-        _json_line(
-            {"count": result.count, "ambiguous": result.ambiguous, "method": result.method}
-        ),
-        args.out,
+def _command(name, summary, *flags):
+    def register(handler):
+        _COMMANDS.append((name, summary, flags, handler))
+        return handler
+
+    return register
+
+
+@_command("count", "lattice point count of a body", *_BODY_VARIANTS)
+def _cmd_count(body, args):
+    result = count_points(body, args.eps)
+    return _json(
+        {"count": result.count, "ambiguous": result.ambiguous, "method": result.method}
     )
-    return EXIT_OK
 
 
-def _cmd_minima(args) -> int:
-    body = _body_from_args(args)
-    result = (
-        box_minima_closed_form(body) if isinstance(body, AxisBox) else successive_minima(body)
-    )
-    _emit(
-        _json_line(
-            {
-                "lambdas": [_num(l) for l in result.lambdas],
-                "witnesses": [list(w) for w in result.witnesses],
-            }
-        ),
-        args.out,
-    )
-    return EXIT_OK
+@_command("minima", "successive minima with witnesses", *_BODY_VARIANTS)
+def _cmd_minima(body, args):
+    box = body._box
+    result = box_minima_closed_form(box) if box is not None else successive_minima(body)
+    return _json({
+        "lambdas": [_num(l) for l in result.lambdas],
+        "witnesses": [list(w) for w in result.witnesses],
+    })
 
 
-def _cmd_verify(args) -> int:
-    verdict = verify(_body_from_args(args), args.eps)
-    _emit(
-        _json_line(
-            {
-                "g": verdict.g,
-                "rhs": verdict.rhs,
-                "lambdas": [_num(l) for l in verdict.lambdas],
-                "status": verdict.status.value,
-                "ambiguous": verdict.ambiguous_points,
-            }
-        ),
-        args.out,
-    )
-    return _STATUS_EXIT[verdict.status]
+@_command(
+    "verify", "check the floor-product bound; exit code maps the verdict", *_BODY_VARIANTS
+)
+def _cmd_verify(body, args):
+    verdict = verify(body, args.eps)
+    return _json({
+        "g": verdict.g,
+        "rhs": verdict.rhs,
+        "lambdas": [_num(l) for l in verdict.lambdas],
+        "status": verdict.status.value,
+        "ambiguous": verdict.ambiguous_points,
+    }, _STATUS_EXIT[verdict.status])
 
 
-def _cmd_stability_radius(args) -> int:
-    report = stability_radius(AxisBox(args.alphas))
-    _emit(
-        _json_line(
-            {
-                "delta": str(report.delta),
-                "radius": report.radius,
-                "circumradius": report.circumradius,
-            }
-        ),
-        args.out,
-    )
-    return EXIT_OK
+@_command("stability-radius", "isolation distance over circumradius")
+def _cmd_stability_radius(box, args):
+    report = stability_radius(box)
+    return _json({
+        "delta": str(report.delta),
+        "radius": report.radius,
+        "circumradius": report.circumradius,
+    })
 
 
-def _cmd_rotation_sweep(args) -> int:
-    box = AxisBox(args.alphas)
+@_command(
+    "rotation-sweep",
+    "verdicts over a family of rotations",
+    ("--plane", {"type": _comma_list(int, int), "default": (0, 1), "metavar": "I,J"}),
+    ("--thetas", {"type": _comma_list(float), "metavar": "T1,T2,..."}),
+    ("--samples", {"type": int}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--max-opnorm", {"type": float}),
+    _FORMAT,
+)
+def _cmd_rotation_sweep(box, args):
     if (args.thetas is None) == (args.samples is None):
         raise ValueError("give exactly one of --thetas (with --plane) or --samples")
     if args.thetas is not None:
@@ -228,78 +227,51 @@ def _cmd_rotation_sweep(args) -> int:
             for k in range(args.samples)
         ]
     records = rotation_sweep(box, rotations, args.eps)
-    if args.format == "json":
-        rows = [
-            {
-                "opnorm": r.opnorm,
-                "g": r.g,
-                "rhs": r.rhs,
-                "status": r.status.value,
-                "corner_excluded": r.corner_excluded,
-            }
-            for r in records
-        ]
-        _emit(_json_line(rows), args.out)
-    else:
-        _emit(
-            _csv_text(
-                ["opnorm", "g", "rhs", "status", "corner_excluded"],
-                [
-                    [r.opnorm, r.g, r.rhs, r.status.value, str(r.corner_excluded).lower()]
-                    for r in records
-                ],
-            ),
-            args.out,
-        )
-    return EXIT_OK
-
-
-def _cmd_lp_threshold(args) -> int:
-    report = p_threshold(AxisBox(args.alphas))
-    _emit(
-        _json_line(
-            {
-                "p0": report.p0,
-                "excluded": list(report.excluded_coords),
-                "beta_max": report.beta_max,
-            }
-        ),
-        args.out,
+    return _table(
+        args.format,
+        ["opnorm", "g", "rhs", "status", "corner_excluded"],
+        [[r.opnorm, r.g, r.rhs, r.status.value, r.corner_excluded] for r in records],
     )
-    return EXIT_OK
 
 
-def _cmd_lp_sweep(args) -> int:
-    box = AxisBox(args.alphas)
-    results = [(p, count_lp(box, p, args.eps)) for p in args.ps]
-    if args.format == "json":
-        rows = [
-            {"p": (None if p == math.inf else p), "count": c.count, "ambiguous": c.ambiguous}
-            for p, c in results
-        ]
-        _emit(_json_line(rows), args.out)
-    else:
-        _emit(
-            _csv_text(
-                ["p", "count", "ambiguous"],
-                [["inf" if p == math.inf else repr(p), c.count, c.ambiguous] for p, c in results],
-            ),
-            args.out,
-        )
-    return EXIT_OK
+@_command("lp-threshold", "sufficient Lp invariance threshold")
+def _cmd_lp_threshold(box, args):
+    report = p_threshold(box)
+    return _json({
+        "p0": report.p0,
+        "excluded": list(report.excluded_coords),
+        "beta_max": report.beta_max,
+    })
 
 
-def _cmd_sandwich_check(args) -> int:
-    box = AxisBox(args.alphas)
-    given = [
-        opt
-        for opt in (args.scale, args.transform_givens, args.transform)
-        if opt is not None
-    ]
-    if len(given) != 1:
-        raise ValueError(
-            "give exactly one of --scale, --transform-givens, or --transform"
-        )
+@_command(
+    "lp-sweep",
+    "lattice counts over a grid of p",
+    ("--ps", {"type": _comma_list(float), "required": True, "metavar": "P1,P2,...",
+              "help": "comma-separated p values; 'inf' allowed"}),
+    _FORMAT,
+)
+def _cmd_lp_sweep(box, args):
+    counts = [count_lp(box, p, args.eps) for p in args.ps]
+    return _table(
+        args.format,
+        ["p", "count", "ambiguous"],
+        [[p, c.count, c.ambiguous] for p, c in zip(args.ps, counts)],
+    )
+
+
+@_command(
+    "sandwich-check",
+    "two-sided continuity bounds on the minima of TK",
+    ("--scale", {"type": float, "help": "T = scale * I"}),
+    ("--transform-givens", _GIVENS),
+    ("--transform", {"type": _comma_list(float), "metavar": "A11,A12,...",
+                     "help": "row-major entries of T"}),
+)
+def _cmd_sandwich_check(box, args):
+    given = (args.scale, args.transform_givens, args.transform)
+    if sum(opt is not None for opt in given) != 1:
+        raise ValueError("give exactly one of --scale, --transform-givens, or --transform")
     if args.scale is not None:
         transform = Transform(args.scale * np.eye(box.dim))
     elif args.transform_givens is not None:
@@ -315,44 +287,15 @@ def _cmd_sandwich_check(args) -> int:
             )
         transform = Transform(np.array(entries).reshape(box.dim, box.dim))
     report = check_minima_sandwich(box, transform)
-    _emit(
-        _json_line(
-            {
-                "eps": report.eps,
-                "eps_prime": report.eps_prime,
-                "lambdas": [_num(l) for l in report.base_lambdas],
-                "lambdas_image": [_num(l) for l in report.image_lambdas],
-                "lower_ok": list(report.lower_ok),
-                "upper_ok": list(report.upper_ok),
-                "all_ok": report.all_ok,
-            }
-        ),
-        args.out,
-    )
-    return EXIT_OK
-
-
-def _add_body_flags(sub, with_body_variants=True):
-    sub.add_argument(
-        "--alphas",
-        type=_parse_alphas,
-        required=True,
-        help="comma-separated exact rational semi-axes, e.g. 2.3,1.7 or 23/10,17/10",
-    )
-    if with_body_variants:
-        sub.add_argument(
-            "--rotate-givens",
-            type=_parse_givens,
-            default=None,
-            metavar="I,J,THETA",
-            help="rotate the box by a planar rotation in coordinates (i, j)",
-        )
-        sub.add_argument(
-            "--p",
-            type=_parse_p,
-            default=None,
-            help="use the Lp-ball with these semi-axes; a number >= 1 or 'inf'",
-        )
+    return _json({
+        "eps": report.eps,
+        "eps_prime": report.eps_prime,
+        "lambdas": [_num(l) for l in report.base_lambdas],
+        "lambdas_image": [_num(l) for l in report.image_lambdas],
+        "lower_ok": list(report.lower_ok),
+        "upper_ok": list(report.upper_ok),
+        "all_ok": report.all_ok,
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,80 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
         "verdicts for boxes, rotated boxes, and Lp-balls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="lattice point count of a body")
-    _add_body_flags(p_count)
-    p_count.set_defaults(func=_cmd_count)
-
-    p_minima = sub.add_parser("minima", help="successive minima with witnesses")
-    _add_body_flags(p_minima)
-    p_minima.set_defaults(func=_cmd_minima)
-
-    p_verify = sub.add_parser(
-        "verify", help="check the floor-product bound; exit code maps the verdict"
-    )
-    _add_body_flags(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_rad = sub.add_parser("stability-radius", help="isolation distance over circumradius")
-    _add_body_flags(p_rad, with_body_variants=False)
-    p_rad.set_defaults(func=_cmd_stability_radius)
-
-    p_sweep = sub.add_parser("rotation-sweep", help="verdicts over a family of rotations")
-    _add_body_flags(p_sweep, with_body_variants=False)
-    p_sweep.add_argument("--plane", type=_parse_plane, default=(0, 1), metavar="I,J")
-    p_sweep.add_argument(
-        "--thetas", type=_parse_float_list, default=None, metavar="T1,T2,..."
-    )
-    p_sweep.add_argument("--samples", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--max-opnorm", type=float, default=None)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=_cmd_rotation_sweep)
-
-    p_thresh = sub.add_parser("lp-threshold", help="sufficient Lp invariance threshold")
-    _add_body_flags(p_thresh, with_body_variants=False)
-    p_thresh.set_defaults(func=_cmd_lp_threshold)
-
-    p_lpsweep = sub.add_parser("lp-sweep", help="lattice counts over a grid of p")
-    _add_body_flags(p_lpsweep, with_body_variants=False)
-    p_lpsweep.add_argument(
-        "--ps", type=_parse_p_list, required=True, metavar="P1,P2,...",
-        help="comma-separated p values; 'inf' allowed",
-    )
-    p_lpsweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_lpsweep.set_defaults(func=_cmd_lp_sweep)
-
-    p_sand = sub.add_parser(
-        "sandwich-check", help="two-sided continuity bounds on the minima of TK"
-    )
-    _add_body_flags(p_sand, with_body_variants=False)
-    p_sand.add_argument("--scale", type=float, default=None, help="T = scale * I")
-    p_sand.add_argument(
-        "--transform-givens", type=_parse_givens, default=None, metavar="I,J,THETA"
-    )
-    p_sand.add_argument(
-        "--transform", type=_parse_float_list, default=None, metavar="A11,A12,...",
-        help="row-major entries of T",
-    )
-    p_sand.set_defaults(func=_cmd_sandwich_check)
-
-    for p_cmd in sub.choices.values():
-        p_cmd.add_argument("--out", default=None, help="output file (default stdout)")
-        p_cmd.add_argument(
-            "--eps",
-            type=float,
-            default=None,
-            help=f"boundary band half-width (default {DEFAULT_EPS}, or $LATSTAB_EPS)",
-        )
-
+    for name, summary, flags, handler in _COMMANDS:
+        cmd = sub.add_parser(name, help=summary)
+        for flag, kwargs in (_ALPHAS, *flags, *_OUT_AND_EPS):
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     source = "--eps"
@@ -453,8 +333,14 @@ def main(argv=None) -> int:
         )
         return EXIT_ERROR
     try:
-        return args.func(args)
-    except (ValueError, TypeError) as exc:
+        text, code = args.func(_body_from_args(args), args)
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        return code
+    except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(f"latstab {args.command}: error: {exc}\n")
         return EXIT_ERROR
     except RuntimeError as exc:

@@ -20,7 +20,7 @@ from .bodies import DEFAULT_EPS, AxisBox, Containment, _supported, contains
 #: Brute-force dimension cap; beyond this the iteration space explodes.
 MAX_DIM = 8
 #: Refuse candidate spaces larger than this before starting.
-MAX_CANDIDATES = 10**9
+MAX_CANDIDATES = 10**7
 
 _FLOAT_SLACK = 1e-9
 

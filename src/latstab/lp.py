@@ -88,8 +88,6 @@ def p_threshold(box: AxisBox) -> ThresholdReport:
 def count_lp(box: AxisBox, p: float, eps: float = DEFAULT_EPS) -> CountResult:
     """Lattice count of the Lp-ball with the box's semi-axes; p = math.inf
     uses the exact closed form."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     return count_points(LpBall(p, box.semi_axes), eps)
 
 

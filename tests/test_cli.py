@@ -101,8 +101,10 @@ def test_exit_one_on_numeric_precondition(capsys):
         (["verify", "--alphas", "1,1", "--rotate-givens", "0,1,inf"], "theta"),
         (["rotation-sweep", "--alphas", "1,1", "--samples", "-2", "--max-opnorm", "0.1"],
          "--samples"),
+        (["verify", "--alphas", "1,1", "--out", "/nonexistent/x.json"], "/nonexistent/x.json"),
     ],
-    ids=["scale-nan", "transform-nan", "givens-nan", "givens-inf", "negative-samples"],
+    ids=["scale-nan", "transform-nan", "givens-nan", "givens-inf", "negative-samples",
+         "unwritable-out"],
 )
 def test_exit_one_on_non_finite_or_negative_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -131,6 +133,10 @@ def test_minima_exact_and_rotated(capsys):
     _, out, _ = run(capsys, "minima", "--alphas", "1,1", "--rotate-givens", "0,1,0.1")
     payload = json.loads(out)
     assert payload["lambdas"][0] == pytest.approx(math.cos(0.1), abs=1e-12)
+    # a ball at p = inf is the box: the same closed-form witnesses
+    for extra in ([], ["--p", "inf"]):
+        _, out, _ = run(capsys, "minima", "--alphas", "1,2", *extra)
+        assert json.loads(out)["witnesses"] == [[0, 1], [1, 0]]
 
 
 def test_lp_inf_token(capsys):
@@ -187,6 +193,16 @@ def test_lp_sweep_csv(capsys):
     assert lines[1] == "1.0,5,0"
     assert lines[2] == "2.0,9,0"
     assert lines[3] == "inf,9,0"
+
+
+def test_lp_sweep_json(capsys):
+    code, out, _ = run(
+        capsys, "lp-sweep", "--alphas", "1.5,1.5", "--ps", "1,inf", "--format", "json"
+    )
+    assert code == 0
+    assert out == (
+        '[{"p":1.0,"count":5,"ambiguous":0},{"p":null,"count":9,"ambiguous":0}]\n'
+    )
 
 
 def test_sandwich_check_cli(capsys):

@@ -165,5 +165,7 @@ def test_dimension_cap():
 
 
 def test_iteration_space_cap_reported_before_starting():
-    with pytest.raises(ValueError, match="candidates"):
-        ls.count_lattice_points(box("100000", "100000", "100000"))
+    # 10**15 candidates, and 3163**2 = 10,004,569: just over the cap
+    for axes in (("100000", "100000", "100000"), ("1581", "1581")):
+        with pytest.raises(ValueError, match="candidates"):
+            ls.count_lattice_points(box(*axes))

@@ -134,8 +134,9 @@ def test_count_lp_integer_axis_drops_corners():
 
 
 def test_count_lp_rejects_small_p():
-    with pytest.raises(ValueError):
-        ls.count_lp(box("1"), 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="p must be"):
+            ls.count_lp(box("1"), p)
 
 
 # ------------------------------------------------------------- sufficiency
