@@ -8,10 +8,12 @@ operator-norm questions all reduce to gauge arithmetic.
 
 Semi-axes are kept as `fractions.Fraction` throughout: the floor-sensitive
 counting formulas downstream need exact comparisons, while rotation and
-transform matrices are inherently floating point.  Operations answer
-exactly whenever the data allows (rational point, axis-aligned body, or
-the coordinates a planar rotation leaves untouched) and otherwise carry an
-explicit tolerance band.
+transform matrices are inherently floating point.  Each family splits its
+gauge at a point into an exact part, decided without rounding whenever the
+data allows (rational point, axis-aligned body, integer p, or the
+coordinates a planar rotation leaves untouched), and a float part that
+carries an explicit tolerance band; one rule on ``_Body`` turns the two
+into every answer.
 """
 
 from __future__ import annotations
@@ -103,36 +105,50 @@ def _band(g: float, eps: float) -> Containment:
 
 class _Body:
     """The questions every body family answers.  The module-level
-    functions check their arguments once and then ask the body:
+    functions check their arguments once and then ask the body.
 
-    - ``_gauge(x)``: the gauge, an exact Fraction where the family allows;
-    - ``_contains(x, eps)``: three-valued membership;
-    - ``_half_widths()``: h with the body inside prod [-h_i, h_i], exact
-      rationals where the family allows;
-    - ``_minima_key(z)``: (sort key, lambda) of a lattice vector z for the
-      minima solver, where the key orders vectors by gauge;
-    - ``_box``: the AxisBox the body coincides with, or None.
+    A family gives its gauge at x as ``_parts(x) -> (exact, approx)``: an
+    exact Fraction decided without rounding and a float that carries the
+    eps band, either of which may be None.  One rule turns the parts into
+    answers: the gauge is the larger part (a float if there are two); x is
+    OUTSIDE if the exact part exceeds 1, otherwise the float part's band
+    decides (INSIDE if there is none); and the exact part is the minima key
+    when it dominates.
+
+    A family also gives ``_half_widths()`` (h with the body inside
+    prod [-h_i, h_i], exact rationals where it allows) and ``_box`` (the
+    AxisBox the body coincides with, or None).
     """
 
     _box = None
 
+    def _gauge(self, x) -> Fraction | float:
+        exact, approx = self._parts(x)
+        if approx is None:
+            return exact
+        if exact is None:
+            return approx
+        return max(float(exact), approx)
+
     def _contains(self, x, eps: float) -> Containment:
-        return _band(self._gauge(x), eps)
+        exact, approx = self._parts(x)
+        if exact is not None and exact > 1:
+            return Containment.OUTSIDE
+        if approx is None:
+            return Containment.INSIDE
+        return _band(approx, eps)
 
     def _minima_key(self, z):
-        g = self._gauge(z)
-        return g, g
+        """(sort key, lambda) of a lattice vector z for the minima solver;
+        the key orders vectors by gauge."""
+        exact, approx = self._parts(z)
+        if exact is not None and (approx is None or exact >= approx):
+            return exact, exact
+        return approx, approx
 
 
-@dataclass(frozen=True)
-class AxisBox(_Body):
-    """Axis-aligned o-symmetric box {x : |x_i| <= alpha_i} with exact
-    rational semi-axes."""
-
-    semi_axes: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "semi_axes", _validate_semi_axes(self.semi_axes))
+class _Axes(_Body):
+    """A body given by exact rational ``semi_axes``."""
 
     @property
     def dim(self) -> int:
@@ -141,6 +157,20 @@ class AxisBox(_Body):
     @cached_property
     def float_axes(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.semi_axes)
+
+    def _half_widths(self) -> tuple[Fraction, ...]:
+        return self.semi_axes
+
+
+@dataclass(frozen=True)
+class AxisBox(_Axes):
+    """Axis-aligned o-symmetric box {x : |x_i| <= alpha_i} with exact
+    rational semi-axes."""
+
+    semi_axes: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "semi_axes", _validate_semi_axes(self.semi_axes))
 
     @cached_property
     def descending_order(self) -> tuple[int, ...]:
@@ -151,20 +181,10 @@ class AxisBox(_Body):
     def _box(self) -> AxisBox:
         return self
 
-    def _gauge(self, x) -> Fraction | float:
+    def _parts(self, x) -> tuple[Fraction | None, float | None]:
         if _is_rational_vector(x):
-            return _box_gauge_exact(self.semi_axes, x)
-        return _box_gauge_float(self.float_axes, x)
-
-    def _contains(self, x, eps: float) -> Containment:
-        if _is_rational_vector(x):
-            if _box_gauge_exact(self.semi_axes, x) <= 1:
-                return Containment.INSIDE
-            return Containment.OUTSIDE
-        return _band(_box_gauge_float(self.float_axes, x), eps)
-
-    def _half_widths(self) -> tuple[Fraction, ...]:
-        return self.semi_axes
+            return _box_gauge_exact(self.semi_axes, x), None
+        return None, _box_gauge_float(self.float_axes, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +220,9 @@ class Rotation:
             # the plane tag licenses exact arithmetic on the remaining
             # coordinates, so the matrix must really be planar
             expected = np.eye(d)
-            block = ((i, i), (i, j), (j, i), (j, j))
-            for r in range(d):
-                for c in range(d):
-                    if (r, c) not in block and m[r, c] != expected[r, c]:
-                        raise ValueError(
-                            "matrix is not a planar rotation in the declared plane"
-                        )
-            if m[i, i] != m[j, j] or m[i, j] != -m[j, i]:
+            block = np.ix_((i, j), (i, j))
+            expected[block] = m[block]
+            if not np.array_equal(m, expected) or m[i, i] != m[j, j] or m[i, j] != -m[j, i]:
                 raise ValueError("matrix is not a planar rotation in the declared plane")
 
     @property
@@ -255,9 +270,9 @@ class _BoxImage(_Body):
     def dim(self) -> int:
         return self.base.dim
 
-    def _gauge(self, x) -> float:
+    def _parts(self, x) -> tuple[None, float]:
         y = self._inverse @ np.asarray(x, dtype=float)
-        return _box_gauge_float(self.base.float_axes, y)
+        return None, _box_gauge_float(self.base.float_axes, y)
 
     def _half_widths(self) -> tuple[float, ...]:
         af = np.array(self.base.float_axes)
@@ -281,18 +296,14 @@ class RotatedBox(_BoxImage):
                 f"rotation is {self.rotation.dim}-dimensional"
             )
 
-    def _gauge_parts(self, x) -> tuple[Fraction | None, float]:
-        """Split the gauge of x into an exact part and a float part.
-
-        For a planar rotation and a rational point, coordinates outside the
-        rotation plane contribute an exact rational maximum (first element);
-        the two in-plane coordinates contribute a float (second element).
-        The gauge is the max of the two.  For anything else the exact part
-        is None and the float part is the whole gauge.
-        """
+    def _parts(self, x) -> tuple[Fraction | None, float]:
+        """For a planar rotation and a rational point, the coordinates
+        outside the rotation plane give an exact rational maximum and the
+        two in-plane coordinates a float.  For anything else the exact part
+        is None and the float part is the whole gauge."""
         rot = self.rotation
         if rot.plane is None or not _is_rational_vector(x):
-            return None, super()._gauge(x)
+            return super()._parts(x)
         i, j = rot.plane
         c = float(rot.matrix[i, i])
         s = float(rot.matrix[j, i])
@@ -303,34 +314,17 @@ class RotatedBox(_BoxImage):
         rest = [abs(Fraction(x[k])) / axes[k] for k in range(self.dim) if k != i and k != j]
         return (max(rest) if rest else None), in_plane
 
-    def _gauge(self, x) -> float:
-        exact_part, float_part = self._gauge_parts(x)
-        if exact_part is None:
-            return float_part
-        return max(float(exact_part), float_part)
-
-    def _contains(self, x, eps: float) -> Containment:
-        exact_part, float_part = self._gauge_parts(x)
-        # Only the in-plane float part carries a band; the off-plane part
-        # is exact.
-        if (exact_part is not None and exact_part > 1) or float_part >= 1.0 + eps:
-            return Containment.OUTSIDE
-        return _band(float_part, eps)
-
-    def _minima_key(self, z):
-        exact_part, float_part = self._gauge_parts(z)
-        if exact_part is not None and exact_part >= float_part:
-            return exact_part, exact_part
-        return float_part, float_part
-
 
 @dataclass(frozen=True)
-class LpBall(_Body):
+class LpBall(_Axes):
     """Anisotropic Lp-ball {x : sum |x_i/alpha_i|^p <= 1}, 1 <= p <= inf.
 
     p = math.inf is the exact encoding of the limiting box, never a large
     finite stand-in; at p = inf the ball delegates every question to the
     AxisBox of the same semi-axes and inherits its exact-arithmetic paths.
+    For an integer p and a rational point, the exact part is the power sum
+    sum |x_i/alpha_i|^p: it lies on the same side of 1 as the gauge, but it
+    is not the gauge, so ``_gauge`` and ``_minima_key`` are the ball's own.
     """
 
     p: float
@@ -342,33 +336,22 @@ class LpBall(_Body):
         if isinstance(p, Rational):
             p = float(p)
         if not isinstance(p, (int, float)) or math.isnan(p) or p < 1:
-            raise ValueError(f"p must be a real >= 1 or math.inf, got {self.p!r}")
-        object.__setattr__(self, "p", math.inf if p == math.inf else float(p))
-        # set once here: membership asks for it on every call
-        object.__setattr__(self, "_box", self.as_axis_box() if self.is_box else None)
-
-    @property
-    def dim(self) -> int:
-        return len(self.semi_axes)
+            raise ValueError(f"p must be a real >= 1 or inf, got {self.p!r}")
+        p = float(p)
+        object.__setattr__(self, "p", p)
+        # set once here, as membership asks for both on every call:
+        # int_exponent is p as an exact integer exponent when it is one
+        # (enables exact rational membership), None for p = inf or fractional p
+        k = None if p == math.inf or not p.is_integer() else int(p)
+        object.__setattr__(self, "int_exponent", k)
+        object.__setattr__(self, "_box", self.as_axis_box() if p == math.inf else None)
 
     @property
     def is_box(self) -> bool:
         return self.p == math.inf
 
-    @property
-    def int_exponent(self) -> int | None:
-        """p as an exact integer exponent, when it is one (enables exact
-        rational membership); None for p = inf or fractional p."""
-        if self.p == math.inf or not self.p.is_integer():
-            return None
-        return int(self.p)
-
     def as_axis_box(self) -> AxisBox:
         return AxisBox(self.semi_axes)
-
-    @cached_property
-    def float_axes(self) -> tuple[float, ...]:
-        return tuple(float(a) for a in self.semi_axes)
 
     def _power_sum(self, x) -> Fraction:
         """sum |x_i/alpha_i|^p as an exact rational; requires integer p and
@@ -381,17 +364,12 @@ class LpBall(_Body):
             return self._box._gauge(x)
         return _lp_gauge_float(self.float_axes, self.p, x)
 
-    def _contains(self, x, eps: float) -> Containment:
+    def _parts(self, x) -> tuple[Fraction | None, float | None]:
         if self._box is not None:
-            return self._box._contains(x, eps)
+            return self._box._parts(x)
         if self.int_exponent is not None and _is_rational_vector(x):
-            if self._power_sum(x) <= 1:
-                return Containment.INSIDE
-            return Containment.OUTSIDE
-        return _band(_lp_gauge_float(self.float_axes, self.p, x), eps)
-
-    def _half_widths(self) -> tuple[Fraction, ...]:
-        return self.semi_axes
+            return self._power_sum(x), None
+        return None, _lp_gauge_float(self.float_axes, self.p, x)
 
     def _minima_key(self, z):
         if self.int_exponent is None:

@@ -42,26 +42,25 @@ def bounding_half_widths(body) -> tuple:
     return _supported(body)._half_widths()
 
 
-def _candidate_ranges(body, radius=1) -> list[range]:
-    """Integer ranges covering the bounding box of the ``radius``-dilate,
-    floored exactly when both factors are rational."""
+def _candidates(body, op: str, radius=1):
+    """Lattice points of the bounding box of the ``radius``-dilate, in
+    lexicographic order; its half-widths are floored exactly when both
+    factors are rational.  The caps are checked here, before the first
+    candidate is produced."""
     limits = []
     for h in bounding_half_widths(body):
         if isinstance(h, Rational) and isinstance(radius, Rational):
             limits.append(math.floor(radius * h))
         else:
             limits.append(math.floor(float(radius) * float(h) + _FLOAT_SLACK))
-    return [range(-l, l + 1) for l in limits]
-
-
-def _check_caps(body, ranges, op: str) -> None:
     if body.dim > MAX_DIM:
         raise ValueError(f"{op}: dimension {body.dim} exceeds the cap of {MAX_DIM}")
-    total = math.prod(len(r) for r in ranges)
+    total = math.prod(2 * l + 1 for l in limits)
     if total > MAX_CANDIDATES:
         raise ValueError(
             f"{op}: iteration space of {total} candidates exceeds {MAX_CANDIDATES}"
         )
+    return itertools.product(*(range(-l, l + 1) for l in limits))
 
 
 def classify_lattice_points(
@@ -69,11 +68,9 @@ def classify_lattice_points(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Split candidate lattice points into (inside, boundary-ambiguous)
     lists, both in lexicographic order."""
-    ranges = _candidate_ranges(body)
-    _check_caps(body, ranges, "classify_lattice_points")
     inside: list[tuple[int, ...]] = []
     ambiguous: list[tuple[int, ...]] = []
-    for z in itertools.product(*ranges):
+    for z in _candidates(body, "classify_lattice_points"):
         c = contains(body, z, eps)
         if c is Containment.INSIDE:
             inside.append(z)

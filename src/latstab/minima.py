@@ -15,14 +15,13 @@ rationals wherever the body allows and floats elsewhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bodies import AxisBox, LinearImage, Transform, box_gauge_opnorm
-from .enumeration import _candidate_ranges, _check_caps
+from .enumeration import _candidates
 
 _DOUBLING_CAP = 20
 _SANDWICH_SLACK = 1e-9
@@ -78,10 +77,8 @@ def _collect_minima(body, radius):
     """One enumeration pass at gauge radius ``radius``; returns a
     MinimaResult or None if the dilate did not yet contain d independent
     vectors."""
-    ranges = _candidate_ranges(body, radius)
-    _check_caps(body, ranges, "successive_minima")
     candidates = []
-    for z in itertools.product(*ranges):
+    for z in _candidates(body, "successive_minima", radius):
         if not _is_canonical(z):
             continue
         key, lam = body._minima_key(z)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latstab as ls
+from latstab import bodies
 from latstab.bodies import Containment
 
 
@@ -158,6 +159,83 @@ def test_float_membership_uses_boundary_band():
     assert ls.contains(b, (1.0 + 1e-12, 0.0)) is Containment.AMBIGUOUS
     assert ls.contains(b, (1.1, 0.0)) is Containment.OUTSIDE
     assert ls.contains(b, (0.9, 0.0)) is Containment.INSIDE
+
+
+_EXACT_KINDS = ("axis", "lp-inf", "lp-int")
+
+
+@st.composite
+def any_body(draw):
+    """(kind, body) over every construction of a body."""
+    kind = draw(st.sampled_from(
+        _EXACT_KINDS + ("lp-frac", "givens", "rotated", "linear-image")
+    ))
+    b = box(*[Fraction(n, 10) for n in draw(st.lists(st.integers(1, 40), min_size=2, max_size=3))])
+    d = b.dim
+    if kind == "axis":
+        return kind, b
+    if kind == "lp-inf":
+        return kind, ls.LpBall(math.inf, b.semi_axes)
+    if kind == "lp-int":
+        return kind, ls.LpBall(draw(st.integers(1, 4)), b.semi_axes)
+    if kind == "lp-frac":
+        return kind, ls.LpBall(draw(st.floats(1.0, 8.0).filter(lambda p: p % 1)), b.semi_axes)
+    if kind == "givens":
+        i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+        return kind, ls.RotatedBox(b, ls.givens_rotation(d, i, j, draw(st.floats(-3.2, 3.2))))
+    if kind == "rotated":
+        rot = ls.random_rotation(d, draw(st.integers(0, 10**6)), draw(st.floats(0.01, 2.0)))
+        return kind, ls.RotatedBox(b, rot)
+    shift = draw(st.lists(st.floats(-0.3, 0.3), min_size=d * d, max_size=d * d))
+    return kind, bodies.LinearImage(b, ls.Transform(np.eye(d) + np.reshape(shift, (d, d))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_body(), st.data())
+def test_membership_follows_gauge_on_every_family(kb, data):
+    # one rule turns every family's gauge parts into answers
+    kind, body = kb
+    reach = [math.floor(float(h)) + 2 for h in body._half_widths()]
+    z = tuple(data.draw(st.integers(-r, r)) for r in reach)
+    den = data.draw(st.integers(1, 7))
+    x = tuple(Fraction(data.draw(st.integers(-r * den, r * den)), den) for r in reach)
+    for point in (z, x):
+        g = ls.gauge(body, point)
+        for eps in (0.0, 1e-9, 1e-3):
+            c = ls.contains(body, point, eps)
+            if kind in _EXACT_KINDS:
+                assert c is not Containment.AMBIGUOUS
+                if kind == "lp-int":
+                    s = sum((abs(Fraction(v)) / a) ** int(body.p)
+                            for v, a in zip(point, body.semi_axes))
+                    assert (c is Containment.INSIDE) == (s <= 1)
+                else:
+                    assert (c is Containment.INSIDE) == (g <= 1)
+            if abs(float(g) - 1.0) > eps + 1e-12:
+                assert c is bodies._band(float(g), eps)
+    if any(z):
+        lam = float(body._minima_key(z)[1])
+        if kind == "lp-int":
+            assert lam == pytest.approx(float(ls.gauge(body, z)), rel=1e-12)
+        else:
+            assert lam == float(ls.gauge(body, z))
+
+
+def test_float_gauge_of_exactly_one_is_inside_at_zero_eps():
+    # a float part of exactly 1.0 is on the closed body's boundary: at
+    # eps = 0 the band puts it inside, for every family with a float part
+    unit = box("1", "1", "1")
+    same = [
+        ls.RotatedBox(unit, ls.givens_rotation(3, 0, 1, 0.0)),
+        ls.RotatedBox(unit, ls.Rotation(np.eye(3))),
+        bodies.LinearImage(unit, ls.Transform(np.eye(3))),
+    ]
+    for body in same:
+        for x in ((1, 0, 0), (1, 1, 1), (1.0, 0.0, 0.0)):
+            assert ls.contains(body, x, eps=0.0) is Containment.INSIDE
+            assert ls.contains(body, x) is Containment.AMBIGUOUS
+    result = ls.count_lattice_points(same[0], eps=0.0)
+    assert (result.count, result.ambiguous) == (27, 0)
 
 
 def test_contains_rejects_negative_eps():
@@ -318,6 +396,12 @@ def test_rotation_rejects_bogus_plane_claim():
     planar = ls.givens_rotation(3, 0, 1, 0.3).matrix
     with pytest.raises(ValueError, match="planar"):
         ls.Rotation(planar, plane=(0, 2))
+    # orthogonal to within 1e-12 with det > 0, but the two diagonal entries
+    # differ by one ulp: the off-plane split reads c and s from column i only
+    c, s = math.cos(0.3), math.sin(0.3)
+    skewed = np.array([[c, -s], [s, np.nextafter(c, 2)]])
+    with pytest.raises(ValueError, match="planar"):
+        ls.Rotation(skewed, plane=(0, 1))
 
 
 def test_transform_rejects_singular():
@@ -347,7 +431,7 @@ def test_rotated_box_dimension_check():
 
 
 def test_lp_ball_rejects_bad_p():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p must be a real >= 1 or inf, got 0\.5$"):
         ls.LpBall(0.5, (Fraction(1),))
     with pytest.raises(ValueError):
         ls.LpBall(float("nan"), (Fraction(1),))

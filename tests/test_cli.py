@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,35 @@ def run(capsys, *argv):
 
 
 # ----------------------------------------------------- documented examples
+
+def readme_examples():
+    """(argv, expected lines) for every `$ latstab ...` call in README.md;
+    a trailing `...` line means only the lines before it are shown."""
+    examples, expected = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("$ latstab "):
+            expected = []
+            examples.append(pytest.param(line[10:].split(), expected, id=line[10:]))
+        elif expected is not None and line and line != "```":
+            expected.append(line)
+        else:
+            expected = None
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_example(capsys, argv, expected):
+    _, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    if expected[-1] == "...":
+        expected = expected[:-1]
+        lines = lines[: len(expected)]
+    assert lines == expected
+
+
+def test_readme_examples_found():
+    assert len(readme_examples()) >= 6
+
 
 def test_verify_unit_box(capsys):
     code, out, _ = run(capsys, "verify", "--alphas", "1,1")
@@ -102,9 +132,11 @@ def test_exit_one_on_numeric_precondition(capsys):
         (["rotation-sweep", "--alphas", "1,1", "--samples", "-2", "--max-opnorm", "0.1"],
          "--samples"),
         (["verify", "--alphas", "1,1", "--out", "/nonexistent/x.json"], "/nonexistent/x.json"),
+        (["verify", "--alphas", "1,1", "--p", "0.5"], "p must be a real >= 1 or inf, got 0.5\n"),
+        (["lp-sweep", "--alphas", "1,1", "--ps", "0.5"], "p must be a real >= 1 or inf, got 0.5\n"),
     ],
     ids=["scale-nan", "transform-nan", "givens-nan", "givens-inf", "negative-samples",
-         "unwritable-out"],
+         "unwritable-out", "p-below-one", "ps-below-one"],
 )
 def test_exit_one_on_non_finite_or_negative_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
