@@ -1,25 +1,28 @@
 """Convex body families and their gauge functions.
 
 Three o-symmetric families are supported: axis-aligned boxes with exact
-rational semi-axes, rotated boxes, and Lp-balls (p = inf recovers the box).
-Every body is immutable and exposes its gauge function (the Minkowski
-functional whose unit ball is the body), so membership, dilation and
-operator-norm questions all reduce to gauge arithmetic.
+rational semi-axes, Lp-balls (p = inf recovers the box), and images T*K of
+a box (``LinearImage``; a rotated box has T a ``Rotation``).  Every body is
+immutable and exposes its gauge function (the Minkowski functional whose
+unit ball is the body), so membership, dilation and operator-norm
+questions all reduce to gauge arithmetic.
 
 Semi-axes are kept as `fractions.Fraction` throughout: the floor-sensitive
-counting formulas downstream need exact comparisons, while rotation and
-transform matrices are inherently floating point.  Each family splits its
-gauge at a point into an exact part, decided without rounding whenever the
-data allows (rational point, axis-aligned body, integer p, or the
-coordinates a planar rotation leaves untouched), and a float part that
-carries an explicit tolerance band; one rule on ``_Body`` turns the two
-into every answer.
+counting formulas downstream need exact comparisons, while matrices are
+floats, certified as far as their checks go: a ``Transform``'s inverse to
+1e-10, a ``Rotation``'s orthogonality to 1e-12 and its plane tag exactly.
+Each family splits its gauge at a point into an exact part, decided
+without rounding whenever the data allows (rational point, axis-aligned
+body, integer p, or the coordinates a planar rotation leaves untouched),
+and a float part that carries an explicit tolerance band and rejects a
+NaN or infinite coordinate; one rule on ``_Body`` turns the two into every
+answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -80,19 +83,31 @@ def _box_gauge_exact(axes: tuple[Fraction, ...], x) -> Fraction:
     return max(abs(Fraction(c)) / a for c, a in zip(x, axes))
 
 
-def _box_gauge_float(float_axes: tuple[float, ...], x) -> float:
-    return float(max(abs(float(c)) / a for c, a in zip(x, float_axes)))
+def _check_finite(x) -> None:
+    for k, c in enumerate(x):
+        if not math.isfinite(c):
+            raise ValueError(f"point coordinate {k} is {float(c)!r}; it must be finite")
+
+
+def _box_gauge_float(float_axes: tuple[float, ...], y, x=None) -> float:
+    """max_i |y_i| / alpha_i, where y is the point x or its image."""
+    ratios = [abs(float(c)) / a for c, a in zip(y, float_axes)]
+    # max() drops a NaN that is not first; the sum keeps it
+    if not math.isfinite(sum(ratios)):
+        _check_finite(y if x is None else x)
+    return max(ratios)
 
 
 def _lp_gauge_float(float_axes: tuple[float, ...], p: float, x) -> float:
     ratios = [abs(float(c)) / a for c, a in zip(x, float_axes)]
     top = max(ratios)
-    if top == 0.0:
-        return 0.0
     # Factor out the largest ratio so (r/top)**p underflows harmlessly
-    # instead of zeroing the whole sum at large p.
-    acc = sum((r / top) ** p for r in ratios)
-    return top * acc ** (1.0 / p)
+    # instead of zeroing the whole sum at large p.  A NaN or infinite ratio
+    # makes g NaN, also at top == 0, where max() may have dropped a NaN.
+    g = sum(ratios) if top == 0.0 else top * sum((r / top) ** p for r in ratios) ** (1.0 / p)
+    if not math.isfinite(g):
+        _check_finite(x)
+    return g
 
 
 def _band(g: float, eps: float) -> Containment:
@@ -188,54 +203,14 @@ class AxisBox(_Axes):
 
 
 @dataclass(frozen=True, eq=False)
-class Rotation:
-    """Proper rotation: orthogonal to within 1e-12 and det > 0.
-
-    ``plane``/``theta`` are populated when the matrix was built as a planar
-    (Givens) rotation.  They record that every coordinate outside the plane
-    is passed through exactly, which lets lattice-point membership in the
-    rotated box be decided without any floating-point slack there.
-    """
-
-    matrix: np.ndarray
-    plane: tuple[int, int] | None = None
-    theta: float | None = None
-
-    def __post_init__(self):
-        m = _freeze_matrix(self.matrix, "rotation matrix")
-        d = m.shape[0]
-        err = float(np.max(np.abs(m.T @ m - np.eye(d))))
-        if not err <= _ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"matrix is not orthogonal: max |R^T R - I| = {err:.3e} "
-                f"> {_ORTHOGONALITY_TOL:.1e}"
-            )
-        if np.linalg.det(m) <= 0:
-            raise ValueError("matrix must have positive determinant")
-        object.__setattr__(self, "matrix", m)
-        if self.plane is not None:
-            i, j = self.plane
-            if not (0 <= i < j < d):
-                raise ValueError(f"plane indices must satisfy 0 <= i < j < d, got ({i}, {j})")
-            # the plane tag licenses exact arithmetic on the remaining
-            # coordinates, so the matrix must really be planar
-            expected = np.eye(d)
-            block = np.ix_((i, j), (i, j))
-            expected[block] = m[block]
-            if not np.array_equal(m, expected) or m[i, i] != m[j, j] or m[i, j] != -m[j, i]:
-                raise ValueError("matrix is not a planar rotation in the declared plane")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Transform:
-    """Invertible linear map with a certified inverse."""
+    """Invertible linear map T with a certified inverse: ``inverse``, given
+    or computed, is accepted only if max |T T^-1 - I| <= 1e-10.  A general
+    map carries no plane tag."""
 
     matrix: np.ndarray
     inverse: np.ndarray | None = None
+    plane = None
 
     def __post_init__(self):
         m = _freeze_matrix(self.matrix, "transform matrix")
@@ -260,59 +235,102 @@ class Transform:
         return self.matrix.shape[0]
 
 
-class _BoxImage(_Body):
-    """Image T*K of the axis box K = ``base``, where a subclass gives T as
-    ``_matrix`` and T^-1 as ``_inverse``.  In floats, the gauge is the box
-    gauge of T^-1 x and the half-widths are the support function at each
-    +-e_i, |T| alpha."""
+@dataclass(frozen=True, eq=False)
+class Rotation(Transform):
+    """Proper rotation R: orthogonal to within 1e-12 and det > 0, so its
+    certified inverse is its transpose, kept as the view ``matrix.T``.
+
+    ``plane``/``theta`` are populated when the matrix was built as a planar
+    (Givens) rotation.  The tag is checked to be exact: every coordinate
+    outside the plane is passed through unchanged, which lets lattice-point
+    membership in the rotated box be decided without slack there.
+    """
+
+    inverse: np.ndarray = field(init=False)
+    plane: tuple[int, int] | None = None
+    theta: float | None = None
+
+    def __post_init__(self):
+        m = _freeze_matrix(self.matrix, "rotation matrix")
+        d = m.shape[0]
+        err = float(np.max(np.abs(m.T @ m - np.eye(d))))
+        if not err <= _ORTHOGONALITY_TOL:
+            raise ValueError(
+                f"matrix is not orthogonal: max |R^T R - I| = {err:.3e} "
+                f"> {_ORTHOGONALITY_TOL:.1e}"
+            )
+        if np.linalg.det(m) <= 0:
+            raise ValueError("matrix must have positive determinant")
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "inverse", m.T)
+        if self.plane is not None:
+            i, j = self.plane
+            if not (0 <= i < j < d):
+                raise ValueError(f"plane indices must satisfy 0 <= i < j < d, got ({i}, {j})")
+            # the plane tag licenses exact arithmetic on the remaining
+            # coordinates, so the matrix must really be planar
+            expected = np.eye(d)
+            block = np.ix_((i, j), (i, j))
+            expected[block] = m[block]
+            if not np.array_equal(m, expected) or m[i, i] != m[j, j] or m[i, j] != -m[j, i]:
+                raise ValueError("matrix is not a planar rotation in the declared plane")
+
+
+@dataclass(frozen=True, eq=False)
+class LinearImage(_Body):
+    """Image T*K of the axis box K = ``base`` under T = ``transform``.  The
+    gauge at x is the box gauge of T^-1 x in floats, as good as T's
+    certified inverse; when T carries a plane tag and x is rational, the
+    coordinates off the plane give an exact part.  The half-widths are the
+    support function at each +-e_i, |T| alpha."""
+
+    base: AxisBox
+    transform: Transform
+    _map_type = Transform
+
+    def __post_init__(self):
+        if not isinstance(self.transform, self._map_type):
+            raise TypeError(
+                f"{type(self).__name__} needs a {self._map_type.__name__}, "
+                f"got {type(self.transform).__name__}"
+            )
+        if self.base.dim != self.transform.dim:
+            raise ValueError(
+                f"dimension mismatch: box is {self.base.dim}-dimensional, "
+                f"transform is {self.transform.dim}-dimensional"
+            )
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def _parts(self, x) -> tuple[None, float]:
-        y = self._inverse @ np.asarray(x, dtype=float)
-        return None, _box_gauge_float(self.base.float_axes, y)
-
-    def _half_widths(self) -> tuple[float, ...]:
-        af = np.array(self.base.float_axes)
-        return tuple(float(v) for v in np.abs(self._matrix) @ af)
-
-
-@dataclass(frozen=True, eq=False)
-class RotatedBox(_BoxImage):
-    """Image R*K of an axis box under a proper rotation."""
-
-    base: AxisBox
-    rotation: Rotation
-
-    _matrix = property(lambda self: self.rotation.matrix)
-    _inverse = property(lambda self: self.rotation.matrix.T)
-
-    def __post_init__(self):
-        if self.base.dim != self.rotation.dim:
-            raise ValueError(
-                f"dimension mismatch: box is {self.base.dim}-dimensional, "
-                f"rotation is {self.rotation.dim}-dimensional"
-            )
-
     def _parts(self, x) -> tuple[Fraction | None, float]:
-        """For a planar rotation and a rational point, the coordinates
-        outside the rotation plane give an exact rational maximum and the
-        two in-plane coordinates a float.  For anything else the exact part
-        is None and the float part is the whole gauge."""
-        rot = self.rotation
-        if rot.plane is None or not _is_rational_vector(x):
-            return super()._parts(x)
-        i, j = rot.plane
-        c = float(rot.matrix[i, i])
-        s = float(rot.matrix[j, i])
+        t = self.transform
+        if t.plane is None or not _is_rational_vector(x):
+            y = t.inverse @ np.asarray(x, dtype=float)
+            return None, _box_gauge_float(self.base.float_axes, y, x)
+        i, j = t.plane
+        c = float(t.matrix[i, i])
+        s = float(t.matrix[j, i])
         xi, xj = float(x[i]), float(x[j])
         fa = self.base.float_axes
         in_plane = max(abs(c * xi + s * xj) / fa[i], abs(-s * xi + c * xj) / fa[j])
         axes = self.base.semi_axes
         rest = [abs(Fraction(x[k])) / axes[k] for k in range(self.dim) if k != i and k != j]
         return (max(rest) if rest else None), in_plane
+
+    def _half_widths(self) -> tuple[float, ...]:
+        af = np.array(self.base.float_axes)
+        return tuple(float(v) for v in np.abs(self.transform.matrix) @ af)
+
+
+@dataclass(frozen=True, eq=False)
+class RotatedBox(LinearImage):
+    """Image R*K of an axis box under a proper rotation; ``rotation`` is
+    the ``transform``, which must be a Rotation."""
+
+    _map_type = Rotation
+    rotation = property(lambda self: self.transform)
 
 
 @dataclass(frozen=True)
@@ -380,24 +398,6 @@ class LpBall(_Axes):
         return s, math.exp((math.log(s.numerator) - math.log(s.denominator)) / self.p)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearImage(_BoxImage):
-    """Image T*K of an axis box under an invertible map.
-
-    Internal support type for the successive-minima continuity checker; not
-    part of the public body grammar and not exposed on the CLI."""
-
-    base: AxisBox
-    transform: Transform
-
-    _matrix = property(lambda self: self.transform.matrix)
-    _inverse = property(lambda self: self.transform.inverse)
-
-    def __post_init__(self):
-        if self.base.dim != self.transform.dim:
-            raise ValueError("dimension mismatch between box and transform")
-
-
 Body = Union[AxisBox, RotatedBox, LpBall]
 
 
@@ -458,7 +458,7 @@ def box_gauge_opnorm(box: AxisBox, a) -> float:
     it by the signed vertex x_j = alpha_j * sign(A_ij), which yields the
     closed form max_i sum_j |A_ij| alpha_j / alpha_i.
     """
-    m = np.asarray(a, dtype=float)
+    m = _freeze_matrix(a, "matrix")
     if m.shape != (box.dim, box.dim):
         raise ValueError(
             f"matrix shape {m.shape} does not match box dimension {box.dim}"
@@ -479,9 +479,7 @@ def euclidean_opnorm(a) -> float:
     RuntimeError if the residual never stabilises within 10000 steps,
     which signals pathological input.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = _freeze_matrix(a, "matrix")
     if not np.any(m):
         return 0.0
     b = m.T @ m

@@ -148,16 +148,15 @@ def check_minima_sandwich(box: AxisBox, transform: Transform) -> SandwichReport:
 
     eps and eps_prime are the exact box-gauge operator norms of T - I and
     T^-1 - I; the image minima come from the general solver on the
-    composed gauge ||T^-1 x||_K.  Both inequalities are checked per index
-    within a slack of 1e-9.
+    composed gauge ||T^-1 x||_K, exact off the plane of a planar Rotation.
+    Both inequalities are checked per index within a slack of 1e-9.
     """
-    if box.dim != transform.dim:
-        raise ValueError("dimension mismatch between box and transform")
+    image_body = LinearImage(box, transform)
     eye = np.eye(box.dim)
     eps = box_gauge_opnorm(box, transform.matrix - eye)
     eps_prime = box_gauge_opnorm(box, transform.inverse - eye)
     base = box_minima_closed_form(box)
-    image = successive_minima(LinearImage(box, transform))
+    image = successive_minima(image_body)
     lower_ok = []
     upper_ok = []
     for b, t in zip(base.lambdas, image.lambdas):

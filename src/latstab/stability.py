@@ -116,6 +116,8 @@ def random_rotation(d: int, seed: int, max_opnorm: float) -> Rotation:
     exponential of a skew matrix is exactly orthogonal with det +1, and its
     distance to the identity is 2*sin(theta/2) = t.
     """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     if not (0.0 < max_opnorm <= 2.0):
         raise ValueError(f"max_opnorm must lie in (0, 2], got {max_opnorm}")
     if d == 1:

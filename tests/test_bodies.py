@@ -63,8 +63,35 @@ def test_lp_gauge_inf_equals_box_gauge():
 
 
 def test_gauge_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        ls.gauge(box("1", "1"), (1, 2, 3))
+    for body in (box("1", "1"), bodies.LinearImage(box("1", "1"), ls.Transform(np.eye(2)))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ls.gauge(body, (1, 2, 3))
+
+
+_FAMILIES = {
+    "axis": box("2", "3"),
+    "lp-inf": ls.LpBall(math.inf, (2, 3)),
+    "lp-int": ls.LpBall(2, (2, 3)),
+    "lp-frac": ls.LpBall(2.5, (2, 3)),
+    "givens": ls.RotatedBox(box("2", "3"), ls.givens_rotation(2, 0, 1, 0.3)),
+    "rotated": ls.RotatedBox(box("2", "3"), ls.random_rotation(2, 5, 0.5)),
+    "linear-image": bodies.LinearImage(box("2", "3"), ls.Transform([[1.0, 0.2], [0.0, 1.0]])),
+}
+
+
+# T^-1 x with an infinite x_k may hit 0 * inf, which numpy warns about
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+@pytest.mark.parametrize("point, k", [
+    ((0.5, math.nan), 1), ((math.nan, 0.5), 0), ((0, math.nan), 1),
+    ((math.inf, 1), 0), ((1, -math.inf), 1),
+])
+def test_non_finite_coordinate_is_rejected(kind, point, k):
+    # a NaN first and after a finite coordinate, which max() would drop
+    body = _FAMILIES[kind]
+    for ask in (ls.gauge, ls.contains):
+        with pytest.raises(ValueError, match=f"coordinate {k} is (nan|inf|-inf); it must be finite"):
+            ask(body, point)
 
 
 def test_large_p_gauge_does_not_underflow():
@@ -346,6 +373,15 @@ def test_euclidean_opnorm_diagonal():
     )
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_opnorms_reject_non_finite_matrices(entry):
+    a = [[entry, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        ls.box_gauge_opnorm(box("2", "1"), a)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        ls.euclidean_opnorm(a)
+
+
 def test_euclidean_opnorm_rejects_nonsquare():
     with pytest.raises(ValueError):
         ls.euclidean_opnorm(np.zeros((2, 3)))
@@ -428,6 +464,23 @@ def test_matrices_reject_non_finite_entries(make):
 def test_rotated_box_dimension_check():
     with pytest.raises(ValueError):
         ls.RotatedBox(box("1", "1", "1"), ls.givens_rotation(2, 0, 1, 0.1))
+
+
+def test_rotation_is_a_transform_with_its_transpose_as_inverse():
+    rot = ls.givens_rotation(3, 0, 2, 0.3)
+    assert isinstance(rot, ls.Transform)
+    assert rot.inverse.base is rot.matrix and np.array_equal(rot.inverse, rot.matrix.T)
+    body = ls.RotatedBox(box("1", "1", "1"), rot)
+    assert isinstance(body, bodies.LinearImage) and body.rotation is rot
+
+
+def test_rotated_box_rejects_a_general_transform():
+    # a RotatedBox promises a rotation, so a shear is refused on construction
+    for transform in (ls.Transform(np.eye(2)), ls.Transform([[1.0, 0.5], [0.0, 1.0]])):
+        with pytest.raises(TypeError, match="RotatedBox needs a Rotation, got Transform"):
+            ls.RotatedBox(box("1", "1"), transform)
+    with pytest.raises(TypeError, match="LinearImage needs a Transform, got ndarray"):
+        bodies.LinearImage(box("1", "1"), np.eye(2))
 
 
 def test_lp_ball_rejects_bad_p():

@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import latstab as ls
 from latstab.cli import main
 
 
@@ -42,6 +45,30 @@ def test_readme_example(capsys, argv, expected):
 
 def test_readme_examples_found():
     assert len(readme_examples()) >= 6
+
+
+def test_readme_library_example():
+    # run the README's Library block statement by statement and keep the
+    # value of each bare expression, keyed by its source
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.unparse(stmt.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    strict = ls.VerdictStatus.STRICT
+    plain = values["ls.verify(box)"]
+    assert (plain.g, plain.rhs, plain.status) == (15, 20, strict)
+    assert values["ls.successive_minima(box)"].lambdas == (Fraction(10, 23), Fraction(10, 17))
+    assert values["ls.stability_radius(box)"].delta == Fraction(3, 10)
+    assert values["ls.stability_radius(box)"].radius == pytest.approx(0.1048, abs=1e-4)
+    rotated = values["ls.verify(ls.RotatedBox(box, rot))"]
+    assert (rotated.g, rotated.rhs, rotated.status) == (15, 20, strict)
+    assert values["ls.p_threshold(box)"].p0 == pytest.approx(4.959, abs=1e-3)
+    assert values["ls.empirical_threshold(box)"] == pytest.approx(2.3795, abs=1e-4)
 
 
 def test_verify_unit_box(capsys):

@@ -181,6 +181,21 @@ def test_sandwich_givens():
     assert report.all_ok
 
 
+def test_sandwich_accepts_a_rotation():
+    # a Rotation is a Transform whose certified inverse is its transpose;
+    # its plane tag keeps the off-plane minimum exact
+    b = box("1.5", "1.25", "0.7")
+    g = ls.givens_rotation(3, 0, 2, 0.3)
+    report = ls.check_minima_sandwich(b, g)
+    general = ls.check_minima_sandwich(b, ls.Transform(g.matrix, g.matrix.T))
+    assert report.all_ok
+    assert (report.eps, report.eps_prime) == (general.eps, general.eps_prime)
+    assert list(map(float, report.image_lambdas)) == list(map(float, general.image_lambdas))
+    assert report.image_lambdas[1] == Fraction(4, 5)
+    assert isinstance(report.image_lambdas[1], Fraction)
+    assert general.image_lambdas[1] == 0.8 and isinstance(general.image_lambdas[1], float)
+
+
 def test_sandwich_random_transforms():
     rng = random.Random(20240811)
     for _ in range(25):

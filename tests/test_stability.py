@@ -187,6 +187,12 @@ def test_random_rotation_rejects_bad_max():
         ls.random_rotation(2, 0, 2.5)
 
 
+def test_random_rotation_rejects_empty_dimension():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"d must be at least 1, got {d}"):
+            ls.random_rotation(d, 1, 0.5)
+
+
 # ------------------------------------------------------- corner exclusion
 
 def test_corner_exclusion_basic():
