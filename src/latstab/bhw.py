@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .bodies import DEFAULT_EPS, Body, LpBall
+from .bodies import DEFAULT_EPS, LpBall, _Body
 from .enumeration import classify_lattice_points, count_box_closed_form
 from .minima import box_minima_closed_form, successive_minima
 
@@ -114,14 +114,15 @@ def _status(g: int, rhs: int, ambiguous: int, snapped: bool, exact: bool):
 
 
 def verify(body, eps: float = DEFAULT_EPS) -> Verdict:
-    """Full verdict for a supported body.
+    """Full verdict for any body: an axis box, an Lp-ball, or a linear image
+    (a rotated box included).
 
     Axis boxes (and p = inf balls) use the exact closed forms on both
     sides.  Integer-exponent Lp-balls keep the whole pipeline exact via
     rational power sums.  Everything else runs on floats with the snapping
     and ambiguity demotions described in the module docstring.
     """
-    if not isinstance(body, Body):
+    if not isinstance(body, _Body):
         raise ValueError(f"unsupported body type: {type(body).__name__}")
     box = body._box
     if box is not None:

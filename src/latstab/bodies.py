@@ -17,6 +17,10 @@ body, integer p, or the coordinates a planar rotation leaves untouched),
 and a float part that carries an explicit tolerance band and rejects a
 NaN or infinite coordinate; one rule on ``_Body`` turns the two into every
 answer.
+
+numpy is imported only inside the functions that build or apply a matrix
+(transforms, rotations, linear images and the operator norms), so boxes
+and Lp-balls never load it.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default half-width of the boundary band used by three-valued membership.
 DEFAULT_EPS = 1e-9
@@ -66,6 +71,8 @@ def _validate_semi_axes(semi_axes) -> tuple[Fraction, ...]:
 
 
 def _freeze_matrix(m, name: str) -> np.ndarray:
+    import numpy as np
+
     out = np.array(m, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be square")
@@ -213,6 +220,8 @@ class Transform:
     plane = None
 
     def __post_init__(self):
+        import numpy as np
+
         m = _freeze_matrix(self.matrix, "transform matrix")
         if self.inverse is None:
             try:
@@ -251,6 +260,8 @@ class Rotation(Transform):
     theta: float | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         m = _freeze_matrix(self.matrix, "rotation matrix")
         d = m.shape[0]
         err = float(np.max(np.abs(m.T @ m - np.eye(d))))
@@ -307,6 +318,8 @@ class LinearImage(_Body):
     def _parts(self, x) -> tuple[Fraction | None, float]:
         t = self.transform
         if t.plane is None or not _is_rational_vector(x):
+            import numpy as np
+
             y = t.inverse @ np.asarray(x, dtype=float)
             return None, _box_gauge_float(self.base.float_axes, y, x)
         i, j = t.plane
@@ -320,6 +333,8 @@ class LinearImage(_Body):
         return (max(rest) if rest else None), in_plane
 
     def _half_widths(self) -> tuple[float, ...]:
+        import numpy as np
+
         af = np.array(self.base.float_axes)
         return tuple(float(v) for v in np.abs(self.transform.matrix) @ af)
 
@@ -398,7 +413,7 @@ class LpBall(_Axes):
         return s, math.exp((math.log(s.numerator) - math.log(s.denominator)) / self.p)
 
 
-Body = Union[AxisBox, RotatedBox, LpBall]
+Body = Union[AxisBox, RotatedBox, LinearImage, LpBall]
 
 
 def _check_dim(body_dim: int, x: Sequence) -> None:
@@ -458,6 +473,8 @@ def box_gauge_opnorm(box: AxisBox, a) -> float:
     it by the signed vertex x_j = alpha_j * sign(A_ij), which yields the
     closed form max_i sum_j |A_ij| alpha_j / alpha_i.
     """
+    import numpy as np
+
     m = _freeze_matrix(a, "matrix")
     if m.shape != (box.dim, box.dim):
         raise ValueError(
@@ -479,6 +496,8 @@ def euclidean_opnorm(a) -> float:
     RuntimeError if the residual never stabilises within 10000 steps,
     which signals pathological input.
     """
+    import numpy as np
+
     m = _freeze_matrix(a, "matrix")
     if not np.any(m):
         return 0.0

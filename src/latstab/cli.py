@@ -24,8 +24,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .bodies import DEFAULT_EPS, AxisBox, LpBall, RotatedBox, Transform
 from .bhw import VerdictStatus, verify
 from .enumeration import count_points
@@ -272,6 +270,8 @@ def _cmd_sandwich_check(box, args):
     given = (args.scale, args.transform_givens, args.transform)
     if sum(opt is not None for opt in given) != 1:
         raise ValueError("give exactly one of --scale, --transform-givens, or --transform")
+    import numpy as np
+
     if args.scale is not None:
         transform = Transform(args.scale * np.eye(box.dim))
     elif args.transform_givens is not None:

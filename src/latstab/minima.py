@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bodies import AxisBox, LinearImage, Transform, box_gauge_opnorm
 from .enumeration import _candidates
 
@@ -151,6 +149,8 @@ def check_minima_sandwich(box: AxisBox, transform: Transform) -> SandwichReport:
     composed gauge ||T^-1 x||_K, exact off the plane of a planar Rotation.
     Both inequalities are checked per index within a slack of 1e-9.
     """
+    import numpy as np
+
     image_body = LinearImage(box, transform)
     eye = np.eye(box.dim)
     eps = box_gauge_opnorm(box, transform.matrix - eye)

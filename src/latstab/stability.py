@@ -20,8 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bodies import (
     DEFAULT_EPS,
@@ -35,6 +34,9 @@ from .bodies import (
     gauge,
 )
 from .bhw import VerdictStatus, verify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _IDENTITY_TOL = 1e-12
 _BASIS_GAUGE_TOL = 1e-12
@@ -84,6 +86,8 @@ def givens_rotation(d: int, i: int, j: int, theta: float) -> Rotation:
         raise ValueError(f"need 0 <= i < j < d, got i={i}, j={j}, d={d}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    import numpy as np
+
     m = np.eye(d)
     c, s = math.cos(theta), math.sin(theta)
     m[i, i] = c
@@ -99,6 +103,8 @@ def expm(skew) -> np.ndarray:
     i*S is Hermitian, so eigh gives i*S = U diag(w) U^H with real w, and
     exp(S) = U diag(exp(-i w)) U^H, which is real up to rounding.
     """
+    import numpy as np
+
     s = np.asarray(skew, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expm needs a square matrix")
@@ -120,6 +126,8 @@ def random_rotation(d: int, seed: int, max_opnorm: float) -> Rotation:
         raise ValueError(f"d must be at least 1, got {d}")
     if not (0.0 < max_opnorm <= 2.0):
         raise ValueError(f"max_opnorm must lie in (0, 2], got {max_opnorm}")
+    import numpy as np
+
     if d == 1:
         return Rotation(np.eye(1))  # SO(1) is trivial
     rng = np.random.default_rng(seed)
@@ -140,6 +148,8 @@ def corner_exclusion_check(box: AxisBox, rotation: Rotation, eps: float = DEFAUL
     """
     if any(a.denominator != 1 for a in box.semi_axes):
         raise ValueError("corner_exclusion_check needs integer semi-axes")
+    import numpy as np
+
     if euclidean_opnorm(rotation.matrix - np.eye(rotation.dim)) <= _IDENTITY_TOL:
         raise ValueError("corner_exclusion_check needs a rotation distinct from the identity")
     body = RotatedBox(box, rotation)
@@ -169,6 +179,8 @@ def rotation_sweep(
     corner_excluded is filled in when the check applies (integer box,
     rotation distinct from the identity) and False otherwise.
     """
+    import numpy as np
+
     integer_box = all(a.denominator == 1 for a in box.semi_axes)
     records = []
     for index, rotation in enumerate(rotations):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import latstab as ls
 from latstab import VerdictStatus
+from latstab.bodies import LinearImage
 
 
 def box(*alphas):
@@ -124,6 +125,16 @@ def test_verify_near_identity_rotation_is_ambiguous():
 def test_verify_rejects_unsupported_body():
     with pytest.raises(ValueError):
         ls.verify(42)
+
+
+def test_verify_accepts_linear_images():
+    base = box("2.3", "1.7")
+    v = ls.verify(LinearImage(base, ls.Transform([[1.0, 0.0], [0.0, 1.0]])))
+    assert (v.g, v.rhs, v.status) == (15, 20, VerdictStatus.STRICT)
+    assert v.ambiguous_points == 0 and not v.snapped
+    sheared = LinearImage(base, ls.Transform([[1.0, 0.3], [0.0, 1.0]]))
+    v, counted = ls.verify(sheared), ls.count_lattice_points(sheared)
+    assert (v.g, v.ambiguous_points) == (counted.count, counted.ambiguous)
 
 
 # --------------------------------------------------- floor inequality

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -178,6 +179,37 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_matrix_free_calls_do_not_load_numpy():
+    # numpy is imported only where a matrix is built or applied: importing
+    # the package and every golden CLI call without a rotation leave it
+    # unloaded; the Givens verify last shows the probe sees the import
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "bench", "cli_golden.json")) as fh:
+        calls = json.load(fh)["calls"]
+    free = [
+        c["argv"] for c in calls
+        if c["argv"][0] != "rotation-sweep" and "--rotate-givens" not in c["argv"]
+    ]
+    assert len(free) == 14
+    argvs = free + [["verify", "--alphas", "1,1", "--rotate-givens", "0,1,0.1"]]
+    probe = (
+        "import contextlib, io, json, sys, latstab, latstab.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        latstab.cli.main(argv)\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == [False] * 15 + [True]
 
 
 def test_random_rotation_rejects_bad_max():
